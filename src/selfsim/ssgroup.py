@@ -18,7 +18,7 @@ from collections import deque
 from itertools import product
 from typing import Iterable, NamedTuple
 
-from .words import Word, format_word
+from .words import Word
 
 Perm = tuple[int, ...]
 
@@ -251,6 +251,8 @@ class GroupDef:
             raise ValueError("missing 'alphabet: d' header")
         recursion = {}
         for sym, rhs in gen_lines:
+            if sym in recursion:
+                raise ValueError(f"generator {sym!r} is defined twice")
             groups = re.findall(r"\([^()]*\)", rhs)
             if not groups:
                 raise ValueError(f"bad recursion for {sym!r}: {rhs!r}")
@@ -606,9 +608,6 @@ class Machine:
                 if fps is not None:
                     self._by_shape[fps[b]] = resolved[b]
 
-    def state_of(self, word: GenWord, **kw) -> int:
-        return self.intern(word, **kw)
-
     def inverse_state(self, sid: int, **kw) -> int:
         hit = self._inverses.get(sid)
         if hit is None:
@@ -695,7 +694,3 @@ def _tarjan_sccs(nodes, successors):
 def parse_group(text: str, name: str | None = None) -> GroupDef:
     """Parse the group-definition text format (see GroupDef.parse)."""
     return GroupDef.parse(text, name=name)
-
-
-def format_witness(word: Word) -> str:
-    return format_word(word)

@@ -11,12 +11,13 @@ homeomorphisms over the bare alphabet.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .nucleus import Budget, Nucleus, NotContractingError, compute_nucleus
-from .ssgroup import GenWord, GroupDef, perm_parity
+from .ssgroup import BudgetExceeded, GenWord, GroupDef, perm_parity
 from .words import (
     Antichain,
     Word,
-    common_refinement,
     format_word,
     is_complete_antichain,
     is_prefix,
@@ -67,53 +68,73 @@ class Table:
     def domain(self) -> Antichain:
         return Antichain([r[0] for r in self.rows], self.group.d)
 
-    def range_antichain(self) -> Antichain:
-        return Antichain([r[2] for r in self.rows], self.group.d)
-
     def depth(self) -> int:
         return max(len(r[0]) for r in self.rows)
 
     # -- splitting ---------------------------------------------------------
 
+    def _children(self, row: Row, side: int) -> list[Row]:
+        """The d rows that replace `row`, sorted by the chosen column
+        (0 domain, 2 range)."""
+        v, g, u = row
+        perm, sections = self.group.wreath(g)
+        kids = [(v + (x,), sections[x], u + (perm[x],)) for x in range(self.group.d)]
+        if side == 2:
+            kids.sort(key=lambda r: r[2])
+        return kids
+
     def split_row(self, i: int) -> "Table":
         """Replace row i by its d children; the action is unchanged."""
-        v, g, u = self.rows[i]
-        perm, sections = self.group.wreath(g)
         new = list(self.rows[:i]) + list(self.rows[i + 1 :])
-        for x in range(self.group.d):
-            new.append((v + (x,), sections[x], u + (perm[x],)))
+        new.extend(self._children(self.rows[i], 0))
         return Table(self.group, new)
 
-    def _refine(self, target: Antichain, side: int) -> "Table":
-        """Split rows until the chosen column (0 domain, 2 range) equals target."""
+    def _refine(self, target, side: int) -> "Table":
+        """Split rows until the chosen column (0 domain, 2 range) equals
+        `target`, a complete antichain that must refine it."""
+        if not isinstance(target, Antichain):
+            target = Antichain(target, self.group.d)
+        if not is_complete_antichain(target.words, self.group.d):
+            raise ValueError("target antichain is not complete")
         want = set(target.words)
-        t = self
-        while True:
-            have = {r[side] for r in t.rows}
-            if have == want:
-                return t
-            for i, row in enumerate(t.rows):
-                w = row[side]
-                if w not in want:
-                    if not any(is_prefix(w, x) for x in want):
-                        raise ValueError("target does not refine the table column")
-                    t = t.split_row(i)
-                    break
+        e = GenWord()
+        rows = []
+        for row, (w, _, _) in self._paired(self.rows, side, [(w, e, w) for w in want], 0):
+            if w not in want:  # a target word had to be split
+                raise ValueError("target does not refine the table column")
+            rows.append(row)
+        return Table(self.group, rows)
+
+    def _paired(self, a_rows, a_side: int, b_rows, b_side: int):
+        """Split two row lists, whose chosen columns are complete antichains,
+        until those columns agree; yields the matched row pairs in order of
+        the shared column word.  A row is split only when its partner's word
+        is deeper, and then once, so each split level is visited once."""
+        a = sorted(a_rows, key=lambda r: r[a_side], reverse=True)
+        b = sorted(b_rows, key=lambda r: r[b_side], reverse=True)
+        while a and b:
+            ra, rb = a.pop(), b.pop()
+            wa, wb = ra[a_side], rb[b_side]
+            if wa == wb:
+                yield ra, rb
+            elif is_prefix(wa, wb):
+                a.extend(reversed(self._children(ra, a_side)))
+                b.append(rb)
+            elif is_prefix(wb, wa):
+                b.extend(reversed(self._children(rb, b_side)))
+                a.append(ra)
+            else:
+                raise ValueError("columns do not cover the boundary alike")
+        if a or b:
+            raise ValueError("columns do not cover the boundary alike")
 
     def refine_domain(self, target) -> "Table":
         """Split until the domain antichain equals `target` (which must
         refine it); the homeomorphism is unchanged."""
-        if not isinstance(target, Antichain):
-            target = Antichain(target, self.group.d)
-        if not target.is_complete():
-            raise ValueError("target antichain is not complete")
         return self._refine(target, 0)
 
     def refine_range(self, target) -> "Table":
-        if not isinstance(target, Antichain):
-            target = Antichain(target, self.group.d)
-        if not target.is_complete():
-            raise ValueError("target antichain is not complete")
+        """Split until the range antichain equals `target`."""
         return self._refine(target, 2)
 
     # -- group operations --------------------------------------------------
@@ -122,14 +143,8 @@ class Table:
         """self after other, as maps of the boundary."""
         if self.group is not other.group and self.group.content_hash() != other.group.content_hash():
             raise ValueError("tables over different groups")
-        middle = common_refinement(other.range_antichain(), self.domain())
-        lo = other.refine_range(middle)
-        hi = self.refine_domain(middle)
-        by_domain = {r[0]: r for r in hi.rows}
-        rows = []
-        for v, h, w in lo.rows:
-            _, g, u = by_domain[w]
-            rows.append((v, g * h, u))
+        rows = [(v, g * h, u)
+                for (v, h, _), (_, g, u) in self._paired(other.rows, 2, self.rows, 0)]
         return Table(self.group, rows)
 
     def __mul__(self, other: "Table") -> "Table":
@@ -156,11 +171,8 @@ class Table:
         """
         if self.group is not other.group and self.group.content_hash() != other.group.content_hash():
             raise ValueError("tables over different groups")
-        dom = common_refinement(self.domain(), other.domain())
-        a = self.refine_domain(dom)
-        b = other.refine_domain(dom)
         undecided = False
-        for (v1, g1, u1), (v2, g2, u2) in zip(a.rows, b.rows):
+        for (_, g1, u1), (_, g2, u2) in self._paired(self.rows, 0, other.rows, 0):
             if u1 != u2:
                 return "different"
             res = self.group.are_equal(g1, g2, limit)
@@ -250,7 +262,7 @@ class Table:
                                          max_depth=budget.max_depth)
                     if sid in nucleus.ids:
                         g = machine.reps[sid]
-                except Exception:
+                except BudgetExceeded:
                     pass
                 rows.append((v, g, u))
             t = Table(group, rows)
@@ -277,9 +289,17 @@ class Table:
     def image_of_clopen(self, clopen: Antichain) -> Antichain:
         """Coarsest antichain of the image of a clopen set; each refined
         domain cylinder maps onto the full cylinder below its range word."""
-        full = Antichain(clopen.words + clopen.complement().words, self.group.d)
-        t = self.refine_domain(common_refinement(self.domain(), full))
-        hit = [u for v, _, u in t.rows if any(is_prefix(w, v) for w in clopen.words)]
+        if clopen.d != self.group.d:
+            raise ValueError("alphabet mismatch")
+        e = GenWord()
+        full = [(w, e, w) for w in clopen.words + clopen.complement().words]
+        inside = clopen.words
+        hit = []
+        for (v, _, u), _ in self._paired(self.rows, 0, full, 0):
+            # the last clopen word not after v is the only one that can prefix it
+            k = bisect_right(inside, v)
+            if k and is_prefix(inside[k - 1], v):
+                hit.append(u)
         return Antichain.clopen(hit, self.group.d)
 
     # -- serialization ---------------------------------------------------------

@@ -3,14 +3,15 @@
 A word is a tuple of letters 0..d-1; the empty tuple is the root of the
 tree of all finite words.  A set of pairwise prefix-incomparable words (an
 antichain) describes a clopen subset of the boundary: the union of the
-cylinders hanging below its words.  Completeness of an antichain (the
-cylinders cover everything) is checked with exact rational arithmetic.
+cylinders hanging below its words.  In lexicographic order a word sorts
+directly before its extensions, so antichain checks, completeness (the
+cylinders cover everything, checked as an exact integer identity) and
+common refinements are single passes over sorted words.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
+from bisect import bisect_left
 
 Word = tuple[int, ...]
 
@@ -28,11 +29,6 @@ def parse_word(text: str) -> Word:
 
 def format_word(word: Word) -> str:
     return "".join(str(x) for x in word) if word else "e"
-
-
-def level_words(d: int, n: int):
-    """All words of length n in lexicographic order."""
-    return (tuple(v) for v in product(range(d), repeat=n))
 
 
 def is_prefix(v: Word, u: Word) -> bool:
@@ -63,24 +59,31 @@ def lex_compare(v: Word, u: Word) -> int:
 
 
 def is_antichain(words) -> bool:
-    ws = list(words)
-    for i, v in enumerate(ws):
-        for u in ws[i + 1 :]:
-            if is_prefix(v, u) or is_prefix(u, v):
-                return False
-    return True
+    """No word is a prefix of another; a repeated word is its own prefix.
+
+    After sorting, a word that is a prefix of any later word is a prefix
+    of its successor, so only adjacent pairs are compared.
+    """
+    ws = sorted(words)
+    return not any(u[: len(v)] == v for v, u in zip(ws, ws[1:]))
 
 
 def is_complete_antichain(words, d: int) -> bool:
-    """Antichain whose cylinders partition the boundary.
+    """Antichain over the letters 0..d-1 whose cylinders partition the
+    boundary.
 
-    Uses the exact identity sum(d**-len(v)) == 1; floating point would
-    accept near-misses.
+    Uses the exact identity sum(d**(L-len(v))) == d**L, with L the largest
+    length; floating point would accept near-misses.
     """
-    ws = set(words)
-    if len(ws) != len(list(words)) or not is_antichain(ws):
+    ws = list(words)
+    if not ws or not is_antichain(ws):
         return False
-    return sum(Fraction(1, d ** len(v)) for v in ws) == 1
+    letters = set().union(*ws)
+    if letters and (min(letters) < 0 or max(letters) >= d):
+        return False
+    lengths = list(map(len, ws))
+    depth = max(lengths)
+    return sum(d ** (depth - n) for n in lengths) == d ** depth
 
 
 def m_invariant(words, d: int) -> int:
@@ -161,19 +164,18 @@ class Antichain:
 
     def complement(self) -> "Antichain":
         """Coarsest antichain of the complementary clopen set."""
+        words = self.words
         out: list[Word] = []
-        have = set(self.words)
-
-        def walk(prefix: Word):
-            if prefix in have:
-                return
-            if not any(is_prefix(prefix, w) for w in have):
+        stack: list[Word] = [()]
+        while stack:
+            prefix = stack.pop()
+            # the first word at or after `prefix` in sorted order starts
+            # with it iff some word of the antichain does
+            k = bisect_left(words, prefix)
+            if k == len(words) or not is_prefix(prefix, words[k]):
                 out.append(prefix)
-                return
-            for x in range(self.d):
-                walk(prefix + (x,))
-
-        walk(())
+            elif words[k] != prefix:
+                stack.extend(prefix + (x,) for x in range(self.d))
         return Antichain(out, self.d)
 
     def __iter__(self):
@@ -216,11 +218,22 @@ def common_refinement(a1: Antichain, a2: Antichain) -> Antichain:
         raise ValueError("alphabet mismatch")
     if not a1.is_complete() or not a2.is_complete():
         raise ValueError("common refinement needs complete antichains")
-    out = set()
-    for v in a1.words:
-        for u in a2.words:
-            if is_prefix(v, u):
-                out.add(u)
-            elif is_prefix(u, v):
-                out.add(v)
+    # both sorted lists cover the boundary in the same order, so the two
+    # current words always nest: emit the deeper one, and step past the
+    # shallower one once the other side has left its cylinder
+    w1, w2 = a1.words, a2.words
+    out: list[Word] = []
+    i = j = 0
+    while i < len(w1) and j < len(w2):
+        v, u = w1[i], w2[j]
+        if len(v) <= len(u):
+            out.append(u)
+            j += 1
+            if len(v) == len(u) or j == len(w2) or not is_prefix(v, w2[j]):
+                i += 1
+        else:
+            out.append(v)
+            i += 1
+            if i == len(w1) or not is_prefix(u, w1[i]):
+                j += 1
     return Antichain(out, a1.d)

@@ -159,3 +159,11 @@ def test_group_json_products(basilica):
 
     t = Table(basilica, [((0,), "a", (1, 0)), ((1, 0), "e", (1, 1)), ((1, 1), "b", (0,))])
     assert Table.from_json(basilica, t.to_json()).rows == t.rows
+
+
+def test_duplicate_generator_rejected(capsys, tmp_path):
+    path = tmp_path / "dup.group"
+    path.write_text("alphabet: 2\na = (0 1)(e, a)\na = ()(a, a)\n")
+    code, out, err = run(capsys, "nucleus", str(path), "--no-cache")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "defined twice" in err

@@ -1,8 +1,12 @@
+import functools
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import apply_word
 from selfsim import resolve_group
 from selfsim.nucleus import compute_nucleus
 from selfsim.ssgroup import GenWord
@@ -302,3 +306,74 @@ def test_table_json_roundtrip(basilica):
     t = Table(basilica, [((0,), "a", (1, 0)), ((1, 0), "e", (1, 1)), ((1, 1), "b", (0,))])
     again = Table.from_json(basilica, t.to_json())
     assert again.rows == t.rows
+
+
+HYPOTHESIS_GROUPS = ("adding", "basilica", "grigorchuk", "trivial:3")
+
+
+@functools.cache
+def group_and_entries(name):
+    group = resolve_group(name)
+    return group, catalogue_entries(group)
+
+
+def image(table, x):
+    """Image of the word x under a table, by the oracle's action of the
+    entry of the one row whose domain word begins x."""
+    hits = [(v, g, u) for v, g, u in table.rows if x[: len(v)] == v]
+    assert len(hits) == 1
+    v, g, u = hits[0]
+    return u + apply_word(table.group, g.factors, x[len(v):])
+
+
+def columns_complete(table):
+    d = table.group.d
+    for column in ([v for v, _, _ in table.rows], [u for _, _, u in table.rows]):
+        if any(not 0 <= x < d for v in column for x in v):
+            return False
+        for i, v in enumerate(column):
+            if any(i != j and u[: len(v)] == v for j, u in enumerate(column)):
+                return False
+        if sum(Fraction(1, d ** len(v)) for v in column) != 1:
+            return False
+    return True
+
+
+def words_below(table):
+    """Every word two levels below the deepest domain row."""
+    depth = max(len(v) for v, _, _ in table.rows) + 2
+    return product(range(table.group.d), repeat=depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HYPOTHESIS_GROUPS), st.integers(0, 2**32))
+def test_random_compose_and_inverse_match_oracle(name, seed):
+    group, entries = group_and_entries(name)
+    rng = random.Random(seed)
+    t1 = random_table(rng, group, entries, max_depth=2)
+    t2 = random_table(rng, group, entries, max_depth=2)
+    prod = t1 * t2
+    inv = t1.inverse()
+    for t in (prod, inv):
+        assert columns_complete(t)
+    for x in words_below(prod):
+        assert image(prod, x) == image(t1, image(t2, x))
+    for x in words_below(inv):
+        assert image(t1, image(inv, x)) == x
+    for x in words_below(t1):
+        assert image(inv, image(t1, x)) == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HYPOTHESIS_GROUPS), st.integers(0, 2**32))
+def test_random_refine_domain_matches_oracle(name, seed):
+    group, entries = group_and_entries(name)
+    rng = random.Random(seed)
+    t = random_table(rng, group, entries, max_depth=2)
+    target = [v + tail for v, _, _ in t.rows
+              for tail in random_complete_antichain(rng, group.d, 2)]
+    r = t.refine_domain(target)
+    assert sorted(v for v, _, _ in r.rows) == sorted(target)
+    assert columns_complete(r)
+    for x in words_below(r):
+        assert image(r, x) == image(t, x)

@@ -99,6 +99,13 @@ def test_complement():
     assert Antichain([], 2).complement().words == ((),)
 
 
+def test_complement_of_a_deep_word():
+    deep = Antichain([(0,) * 1500], 2).complement()
+    assert len(deep) == 1500
+    assert deep.words[-1] == (1,)
+    assert deep.words[0] == (0,) * 1499 + (1,)
+
+
 def test_refinement_idempotent():
     a1 = ac(["00", "01", "1"])
     a2 = ac(["0", "10", "11"])
@@ -134,6 +141,56 @@ def test_random_refinement_refines_both(a1, a2):
     r = common_refinement(a1, a2)
     assert r.is_complete()
     assert r.refines(a1) and r.refines(a2)
+
+
+def brute_complete(words, d):
+    """Complete antichain by definition: letters in range, no word a prefix
+    of another (compared pairwise, so a repeat fails), and cylinder
+    measures summing to exactly one."""
+    if not words or any(not 0 <= x < d for v in words for x in v):
+        return False
+    for i, v in enumerate(words):
+        for j, u in enumerate(words):
+            if i != j and u[: len(v)] == v:
+                return False
+    return sum(Fraction(1, d ** len(v)) for v in words) == 1
+
+
+@st.composite
+def word_lists(draw):
+    """Complete antichains, some of them edited into near misses."""
+    d = draw(st.sampled_from([2, 3]))
+    words = list(draw(complete_antichains(d=d, max_depth=3)).words)
+    edit = draw(st.sampled_from(["none", "repeat", "nest", "overlap", "drop",
+                                 "empty", "letter", "random"]))
+    if edit == "repeat":
+        words.append(draw(st.sampled_from(words)))
+    elif edit == "nest":
+        words.append(draw(st.sampled_from(words)) + (draw(st.integers(0, d - 1)),))
+    elif edit == "overlap" and len(words) > 1:
+        # measure still sums to one: a deepest word makes way for the
+        # children of one of its siblings
+        deepest = max(words, key=len)
+        sibling = next(v for v in words if len(v) == len(deepest) and v != deepest)
+        words.remove(deepest)
+        words.extend(sibling + (x,) for x in range(d))
+    elif edit == "drop":
+        words.remove(draw(st.sampled_from(words)))
+    elif edit == "empty":
+        words = []
+    elif edit == "letter":
+        v = words.pop()
+        words.append(v[:-1] + (d,) if v else (d,))
+    elif edit == "random":
+        letters = st.lists(st.integers(0, d - 1), max_size=3).map(tuple)
+        words = draw(st.lists(letters, max_size=6))
+    return draw(st.permutations(words)), d
+
+
+@given(word_lists())
+def test_complete_antichain_matches_definition(case):
+    words, d = case
+    assert is_complete_antichain(words, d) == brute_complete(words, d)
 
 
 @given(complete_antichains(d=3, max_depth=3))
