@@ -57,6 +57,22 @@ def _check_level(nucleus: Nucleus, n: int, limit: int):
         raise ValueError(f"level {n} has more than {limit} vertices")
 
 
+def _roots(n: int, pairs) -> list[int]:
+    """Union-find over 0..n-1 joined along the index pairs; the
+    representative of each element's component."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    return [find(i) for i in range(n)]
+
+
 def level_identifications(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> set[tuple[Word, Word]]:
     """Unordered pairs of distinct level-n words carried into each other by
     a nontrivial nucleus state."""
@@ -111,19 +127,7 @@ class LevelQuotient:
         raise KeyError(format_word(word))
 
     def is_connected(self) -> bool:
-        if len(self.blocks) <= 1:
-            return True
-        parent = list(range(len(self.blocks)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j in self.edges:
-            parent[find(i)] = find(j)
-        return len({find(i) for i in range(len(self.blocks))}) == 1
+        return len(set(_roots(len(self.blocks), self.edges))) <= 1
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * len(self.blocks)
@@ -175,22 +179,12 @@ def quotient_graph(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> LevelQuoti
     d = nucleus.group.d
     words = [tuple(v) for v in product(range(d), repeat=n)]
     index = {v: i for i, v in enumerate(words)}
-    parent = list(range(len(words)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     stable = cylinder_stable_states(nucleus) - {nucleus.identity_index}
-    for s in stable:
-        for v in words:
-            parent[find(index[v])] = find(index[nucleus.act(s, v)])
-    block_ids = sorted({find(i) for i in range(len(words))})
-    block_words = {b: [] for b in block_ids}
-    for i, v in enumerate(words):
-        block_words[find(i)].append(v)
+    roots = _roots(len(words), ((index[v], index[nucleus.act(s, v)])
+                                for s in stable for v in words))
+    block_words: dict[int, list[Word]] = {}
+    for root, v in zip(roots, words):
+        block_words.setdefault(root, []).append(v)
     blocks = tuple(
         tuple(sorted(ws)) for ws in sorted(block_words.values(), key=lambda ws: min(ws))
     )
@@ -205,9 +199,10 @@ def quotient_graph(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> LevelQuoti
     shift = None
     if n >= 1:
         prev = quotient_graph(nucleus, n - 1, limit)
+        prev_block = {w: i for i, ws in enumerate(prev.blocks) for w in ws}
         targets = []
         for ws in blocks:
-            hits = {prev.class_of(w[:-1]) for w in ws}
+            hits = {prev_block[w[:-1]] for w in ws}
             if len(hits) != 1:
                 raise AssertionError("shift does not descend to classes")
             targets.append(hits.pop())
@@ -225,20 +220,9 @@ class SchreierGraph:
     labels: dict  # edge -> sorted generator names
 
     def is_connected(self) -> bool:
-        if len(self.vertices) <= 1:
-            return True
         index = {v: i for i, v in enumerate(self.vertices)}
-        parent = list(range(len(self.vertices)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for v, u in self.edges:
-            parent[find(index[v])] = find(index[u])
-        return len({find(i) for i in range(len(self.vertices))}) == 1
+        pairs = ((index[v], index[u]) for v, u in self.edges)
+        return len(set(_roots(len(self.vertices), pairs))) <= 1
 
     def to_json(self) -> dict:
         return {

@@ -110,6 +110,17 @@ class Nucleus:
         return cls(group, ids)
 
 
+def _generator_states(group: GroupDef, **kw) -> list[int]:
+    """Machine states of each generator followed by its inverse, interned
+    in that order; `kw` are the intern budget limits."""
+    machine = group.machine
+    out = []
+    for sym in group.generators:
+        sid = machine.intern(GenWord([(sym, 1)]), **kw)
+        out += (sid, machine.inverse_state(sid, **kw))
+    return out
+
+
 def section_closure(group: GroupDef, words, budget: Budget = Budget()) -> list[GenWord]:
     """Smallest set of canonical states containing the given words (and the
     identity) and closed under sections; returned as representative words."""
@@ -167,11 +178,7 @@ def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
     machine = group.machine
     kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
     try:
-        roots = {machine.identity}
-        for sym in group.generators:
-            sid = machine.intern(GenWord([(sym, 1)]), **kw)
-            roots.add(sid)
-            roots.add(machine.inverse_state(sid, **kw))
+        roots = {machine.identity, *_generator_states(group, **kw)}
         current = machine.reachable(roots)
         done: set[tuple[int, int]] = set()
         while True:
@@ -243,11 +250,7 @@ def is_self_replicating(group: GroupDef, radius: int) -> str:
         raise ValueError("radius must be at least 1")
     machine = group.machine
     d = group.d
-    gens = []
-    for sym in group.generators:
-        sid = machine.intern(GenWord([(sym, 1)]))
-        gens.append(sid)
-        gens.append(machine.inverse_state(sid))
+    gens = _generator_states(group)
     needed = {(x, y) for x in range(d) for y in range(d)}
 
     def scan(sid: int):
@@ -284,11 +287,7 @@ def is_level_transitive(group: GroupDef, n: int, limit: int = 1 << 20) -> bool:
     if not group.generators:
         return False
     machine = group.machine
-    gens = []
-    for sym in group.generators:
-        sid = machine.intern(GenWord([(sym, 1)]))
-        gens.append(sid)
-        gens.append(machine.inverse_state(sid))
+    gens = _generator_states(group)
     start = (0,) * n
     seen = {start}
     stack = [start]

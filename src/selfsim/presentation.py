@@ -25,7 +25,7 @@ from itertools import permutations, product
 from .nucleus import Budget, Nucleus, compute_nucleus, length3_index_triples
 from .ssgroup import GenWord, GroupDef
 from .vg import Table, thompson_from_antichains
-from .words import Antichain, Word, format_word
+from .words import Antichain, Word, coarsen, format_word
 
 BASE_LETTER = 0
 
@@ -79,27 +79,16 @@ def embedded_conjugator(group: GroupDef, v: Word, a_xy: dict, b_x: dict) -> Tabl
 
 
 def _vx_normal_rows(table: Table):
-    """Normal form of a trivial-entry table for dedup: merge any d sibling
-    rows that are an identity split."""
-    rows = list(table.rows)
-    changed = True
-    while changed:
-        changed = False
-        rows.sort(key=lambda r: r[0])
-        for i, (v, g, u) in enumerate(rows):
-            if not v:
-                continue
-            sibs = [r for r in rows if r[0][:-1] == v[:-1]]
-            if len(sibs) != table.group.d:
-                continue
-            if any(r[2][:-1] != sibs[0][2][:-1] or not r[2] for r in sibs):
-                continue
-            if all(r[0][-1] == r[2][-1] for r in sibs):
-                rows = [r for r in rows if r not in sibs]
-                rows.append((v[:-1], g, sibs[0][2][:-1]))
-                changed = True
-                break
-    return tuple(sorted(rows, key=lambda r: r[0]))
+    """Normal form of a trivial-entry table for dedup: merge, bottom-up,
+    every d sibling rows that are an identity split."""
+
+    def merge(family):
+        parent = family[0][2][:-1]
+        if all(u == parent + (v[-1],) for v, _, u in family):
+            return (family[0][0][:-1], family[0][1], parent)
+        return None
+
+    return tuple(coarsen(table.rows, table.group.d, lambda r: r[0], merge))
 
 
 def offcylinder_stabilizer_tables(group: GroupDef) -> list[Table]:
@@ -150,11 +139,7 @@ class Relator:
 @dataclass
 class PresentationBundle:
     group: GroupDef
-    nucleus: Nucleus
     s1: list[str]
-    a_xy: dict = field(repr=False)
-    b_x: dict = field(repr=False)
-    stabilizers: list[Table] = field(repr=False)
     relators: dict[str, list[Relator]] = field(repr=False)
 
     def all_relators(self):
@@ -172,12 +157,9 @@ class PresentationBundle:
         }
 
     @classmethod
-    def from_json(cls, group: GroupDef, data: dict,
-                  budget: Budget = Budget()) -> "PresentationBundle":
+    def from_json(cls, group: GroupDef, data: dict) -> "PresentationBundle":
         if data.get("group") != group.content_hash():
             raise ValueError("presentation data belongs to a different group")
-        nucleus = compute_nucleus(group, budget)
-        a_xy, b_x = choose_ab_tables(group)
         relators = {
             fam: [
                 Relator(r["family"], r["symbolic"], Table.from_json(group, r["table"]))
@@ -185,8 +167,7 @@ class PresentationBundle:
             ]
             for fam, rels in data["relators"].items()
         }
-        return cls(group, nucleus, list(data["generators"]), a_xy, b_x,
-                   offcylinder_stabilizer_tables(group), relators)
+        return cls(group, list(data["generators"]), relators)
 
 
 def _sym_L(rep: GenWord, v: Word | None = None) -> str:
@@ -219,6 +200,7 @@ def relators_C(nucleus: Nucleus) -> list[Relator]:
     group = nucleus.group
     d = group.d
     states = _nontrivial_states(nucleus)
+    stabilizers = offcylinder_stabilizer_tables(group)
     out = []
 
     def commutator(t1: Table, t2: Table) -> Table:
@@ -241,7 +223,7 @@ def relators_C(nucleus: Nucleus) -> list[Relator]:
                            f"{_sym_L(nucleus.reps[j], v2)}]")
                     out.append(Relator("C", sym, t))
     for i in states:
-        for w_index, h in enumerate(offcylinder_stabilizer_tables(group)):
+        for w_index, h in enumerate(stabilizers):
             t = commutator(l_of(group, (BASE_LETTER,), nucleus.reps[i]), h)
             sym = f"[{_sym_L(nucleus.reps[i])}, W{w_index}]"
             out.append(Relator("C", sym, t))
@@ -303,15 +285,13 @@ def emit_presentation(group: GroupDef, budget: Budget = Budget()) -> Presentatio
     """Generator letters and the three relator families, with the
     prefix-replacement part of the presentation kept as an opaque import."""
     nucleus = compute_nucleus(group, budget)
-    a_xy, b_x = choose_ab_tables(group)
-    stabilizers = offcylinder_stabilizer_tables(group)
     relators = {
         "C": relators_C(nucleus),
         "N": relators_N(nucleus),
         "S": relators_S(nucleus),
     }
     s1 = [_sym_L(nucleus.reps[i]) for i in _nontrivial_states(nucleus)]
-    return PresentationBundle(group, nucleus, s1, a_xy, b_x, stabilizers, relators)
+    return PresentationBundle(group, s1, relators)
 
 
 def verify_relator(relator: Relator, limit: int = 10_000) -> bool:

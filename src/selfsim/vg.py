@@ -18,6 +18,7 @@ from .ssgroup import BudgetExceeded, GenWord, GroupDef, perm_parity
 from .words import (
     Antichain,
     Word,
+    coarsen,
     format_word,
     is_complete_antichain,
     is_prefix,
@@ -186,7 +187,7 @@ class Table:
 
     def canonical_form(self, nucleus: Nucleus | None = None,
                        budget: Budget = Budget(), limit: int = 10_000) -> "Table":
-        """Greedily merge split sibling rows back and rewrite entries to
+        """Merge split sibling rows back, bottom-up, and rewrite entries to
         shortest nucleus representatives.
 
         Merging recognizes a single element from its permutation and
@@ -200,73 +201,49 @@ class Table:
             try:
                 nucleus = compute_nucleus(group, budget)
             except NotContractingError:
-                nucleus = None
+                return self
+        machine = group.machine
         candidates: list[tuple[GenWord, int]] = []
-        if nucleus is not None:
-            machine = group.machine
-            seen = set()
-            pool = list(nucleus.reps)
-            pool += [r1 * r2 for r1 in nucleus.reps for r2 in nucleus.reps]
-            for w in pool:
-                sid = machine.intern(w)
-                if sid not in seen:
-                    seen.add(sid)
-                    candidates.append((machine.reps[sid], sid))
-            candidates.sort(key=lambda c: (len(str(c[0])), str(c[0])))
+        seen = set()
+        pool = list(nucleus.reps)
+        pool += [r1 * r2 for r1 in nucleus.reps for r2 in nucleus.reps]
+        for w in pool:
+            sid = machine.intern(w)
+            if sid not in seen:
+                seen.add(sid)
+                candidates.append((machine.reps[sid], sid))
+        candidates.sort(key=lambda c: (len(str(c[0])), str(c[0])))
 
-        t = self
-        merged = True
-        while merged and candidates:
-            merged = False
-            groups: dict[Word, list[Row]] = {}
-            for row in t.rows:
-                if row[0]:
-                    groups.setdefault(row[0][:-1], []).append(row)
-            for parent, rows in groups.items():
-                if len(rows) != t.group.d:
+        def merge(family: list[Row]):
+            # rows sorted by domain word: entry x of perm is the image of x
+            ranges = [u for _, _, u in family]
+            if any(not u or u[:-1] != ranges[0][:-1] for u in ranges):
+                return None
+            perm = tuple(u[-1] for u in ranges)
+            if sorted(perm) != list(range(group.d)):
+                return None
+            for rep, sid in candidates:
+                if machine.perms[sid] != perm:
                     continue
-                ranges = [u for _, _, u in rows]
-                if any(not u for u in ranges):
-                    continue
-                target_parent = ranges[0][:-1]
-                if any(u[:-1] != target_parent for u in ranges):
-                    continue
-                perm = tuple(u[-1] for _, _, u in rows)  # rows sorted by v
-                if sorted(perm) != list(range(t.group.d)):
-                    continue
-                hit = None
-                for rep, sid in candidates:
-                    if group.machine.perms[sid] != perm:
-                        continue
-                    kids = group.machine.kids[sid]
-                    if all(
-                        group.are_equal(group.machine.reps[kids[x]], rows[x][1], limit).status == "equal"
-                        for x in range(t.group.d)
-                    ):
-                        hit = rep
-                        break
-                if hit is None:
-                    continue
-                keep = [r for r in t.rows if r not in rows]
-                keep.append((parent, hit, target_parent))
-                t = Table(group, keep)
-                merged = True
-                break
+                kids = machine.kids[sid]
+                if all(
+                    group.are_equal(machine.reps[kids[x]], family[x][1], limit).status == "equal"
+                    for x in range(group.d)
+                ):
+                    return (family[0][0][:-1], rep, ranges[0][:-1])
+            return None
 
-        if nucleus is not None:
-            machine = group.machine
-            rows = []
-            for v, g, u in t.rows:
-                try:
-                    sid = machine.intern(g, max_states=budget.max_states,
-                                         max_depth=budget.max_depth)
-                    if sid in nucleus.ids:
-                        g = machine.reps[sid]
-                except BudgetExceeded:
-                    pass
-                rows.append((v, g, u))
-            t = Table(group, rows)
-        return t
+        rows = []
+        for v, g, u in coarsen(self.rows, group.d, lambda r: r[0], merge):
+            try:
+                sid = machine.intern(g, max_states=budget.max_states,
+                                     max_depth=budget.max_depth)
+                if sid in nucleus.ids:
+                    g = machine.reps[sid]
+            except BudgetExceeded:
+                pass
+            rows.append((v, g, u))
+        return Table(group, rows)
 
     # -- invariants ----------------------------------------------------------
 
@@ -342,6 +319,20 @@ def make_table(group: GroupDef, rows) -> Table:
     return Table(group, rows)
 
 
+def _equalized(c1, c2, d: int) -> tuple[list[Word], list[Word]]:
+    """Two word lists made equal in length by splitting, on the shorter
+    side, its lexicographically least shallowest word, both kept sorted;
+    the lengths must agree modulo d-1."""
+    c1, c2 = sorted(c1), sorted(c2)
+    while len(c1) != len(c2):
+        side = c1 if len(c1) < len(c2) else c2
+        w = min(side, key=lambda w: (len(w), w))
+        side.remove(w)
+        side.extend(w + (x,) for x in range(d))
+        side.sort()
+    return c1, c2
+
+
 def thompson_from_antichains(group: GroupDef, sources, targets) -> Table:
     """Trivial-entry table sending the cylinder of sources[i] onto that of
     targets[i] by prefix replacement.
@@ -365,17 +356,10 @@ def thompson_from_antichains(group: GroupDef, sources, targets) -> Table:
     if a1.is_complete() != a2.is_complete():
         raise ValueError("one antichain is complete and the other is not")
     if not a1.is_complete():
-        c1 = sorted(a1.complement().words)
-        c2 = sorted(a2.complement().words)
+        c1, c2 = a1.complement().words, a2.complement().words
         if (len(c1) - len(c2)) % (group.d - 1 if group.d > 2 else 1) != 0:
             raise ValueError("complements have mismatched cylinder residues")
-        while len(c1) != len(c2):
-            side = c1 if len(c1) < len(c2) else c2
-            w = min(side, key=lambda w: (len(w), w))
-            side.remove(w)
-            side.extend(w + (x,) for x in range(group.d))
-            side.sort()
-        rows.extend((v, e, u) for v, u in zip(c1, c2))
+        rows.extend((v, e, u) for v, u in zip(*_equalized(c1, c2, group.d)))
     return Table(group, rows)
 
 
@@ -396,12 +380,4 @@ def orbit_witness(group: GroupDef, u1: Antichain, u2: Antichain) -> Table:
     exactly when same_orbit_clopen holds."""
     if not same_orbit_clopen(u1, u2):
         raise ValueError("clopen sets lie in different orbits")
-    c1 = sorted(u1.words)
-    c2 = sorted(u2.words)
-    while len(c1) != len(c2):
-        side = c1 if len(c1) < len(c2) else c2
-        w = min(side, key=lambda w: (len(w), w))
-        side.remove(w)
-        side.extend(w + (x,) for x in range(group.d))
-        side.sort()
-    return thompson_from_antichains(group, c1, c2)
+    return thompson_from_antichains(group, *_equalized(u1.words, u2.words, group.d))

@@ -98,6 +98,32 @@ def m_invariant(words, d: int) -> int:
     return len(set(words)) % (d - 1) if d > 2 else 0
 
 
+def coarsen(items, d: int, word_of, merge) -> list:
+    """Merge sibling families bottom-up, to the fixed point of merging.
+
+    `items` are sorted by `word_of`, whose words form an antichain.  A
+    family is d items whose words are the children w+(0,) .. w+(d-1,) of
+    one parent w; `merge(family)` returns the item that replaces it at w,
+    or None to keep it.  In sorted order a family is contiguous once its
+    own subfamilies are merged, so one stack pass checks each family the
+    moment its last child is on top.  Each decision depends only on its
+    own family, so the result does not depend on the order of merges.
+    """
+    out: list = []
+    for item in items:
+        out.append(item)
+        while len(out) >= d:
+            family = out[-d:]
+            w = word_of(family[0])
+            if not w or any(word_of(it) != w[:-1] + (x,) for x, it in enumerate(family)):
+                break
+            merged = merge(family)
+            if merged is None:
+                break
+            out[-d:] = [merged]
+    return out
+
+
 class Antichain:
     """A finite set of pairwise incomparable words over a fixed alphabet."""
 
@@ -120,21 +146,16 @@ class Antichain:
         """Coarsest antichain describing the union of the given cylinders.
 
         Accepts overlapping input (nested cylinders are absorbed) and then
-        merges every complete family of d siblings into their parent.
+        merges, bottom-up, every complete family of d siblings into their
+        parent.
         """
-        ws = set(tuple(w) for w in words)
-        keep = {w for w in ws if not any(is_prefix(v, w) and v != w for v in ws)}
-        merged = True
-        while merged:
-            merged = False
-            for w in sorted(keep, key=lambda w: (-len(w), w)):
-                if w and all(w[:-1] + (x,) in keep for x in range(d)):
-                    for x in range(d):
-                        keep.discard(w[:-1] + (x,))
-                    keep.add(w[:-1])
-                    merged = True
-                    break
-        return cls(keep, d)
+        keep: list[Word] = []
+        # a kept word that prefixes w sorts before w, and so does every word
+        # between them, so only the last kept word can absorb w
+        for w in sorted(set(tuple(w) for w in words)):
+            if not keep or not is_prefix(keep[-1], w):
+                keep.append(w)
+        return cls(coarsen(keep, d, lambda w: w, lambda family: family[0][:-1]), d)
 
     def is_complete(self) -> bool:
         return is_complete_antichain(self.words, self.d)

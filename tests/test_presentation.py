@@ -191,8 +191,12 @@ def test_corrupted_relator_fails(grigorchuk):
 
 
 def test_bundle_json_roundtrip(adding):
+    from dataclasses import fields
+
     from selfsim.presentation import PresentationBundle
 
+    # the bundle carries only what to_json writes and from_json reads
+    assert [f.name for f in fields(PresentationBundle)] == ["group", "s1", "relators"]
     bundle = emit_presentation(adding)
     data = bundle.to_json()
     assert data["generators"] == bundle.s1

@@ -172,6 +172,12 @@ def test_canonical_form_examples(trivial2, adding):
     assert s.canonical_form().rows == s.rows
 
 
+def test_canonical_form_of_a_deep_identity(trivial2):
+    level = list(product(range(2), repeat=11))
+    t = Table(trivial2, [(v, "", v) for v in level])
+    assert t.canonical_form().rows == Table.identity(trivial2).rows
+
+
 def test_canonical_form_idempotent(adding):
     rng = random.Random(11)
     entries = catalogue_entries(adding)

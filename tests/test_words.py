@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -90,6 +91,42 @@ def test_clopen_normalization():
     assert Antichain.clopen([w("00"), w("01"), w("1")], 2).words == ((),)
     assert Antichain.clopen([w("0"), w("00")], 2).words == ((0,),)
     assert Antichain.clopen([w("10"), w("11")], 2).words == ((1,),)
+
+
+def test_clopen_of_a_whole_level():
+    level = list(product(range(2), repeat=12))
+    assert Antichain.clopen(level, 2).words == ((),)
+    assert Antichain.clopen(level[:-1], 2).words[-1] == (1,) * 11 + (0,)
+
+
+@st.composite
+def cylinder_lists(draw):
+    """Parts of complete antichains, so that sibling families occur, plus
+    nested and repeated words."""
+    d = draw(st.sampled_from([2, 3]))
+    words = list(draw(complete_antichains(d=d, max_depth=3)).words)
+    for _ in range(draw(st.integers(0, 2))):
+        if words:
+            words.remove(draw(st.sampled_from(words)))
+    letters = st.lists(st.integers(0, d - 1), max_size=4).map(tuple)
+    words += draw(st.lists(letters, max_size=3))
+    if words:
+        v = draw(st.sampled_from(words))
+        words += draw(st.sampled_from([[], [v], [v + (draw(st.integers(0, d - 1)),)]]))
+    return draw(st.permutations(words)), d
+
+
+@given(cylinder_lists())
+def test_clopen_matches_definition(case):
+    words, d = case
+    out = Antichain.clopen(words, d).words
+    for i, v in enumerate(out):
+        assert not any(i != j and u[: len(v)] == v for j, u in enumerate(out))
+    depth = max(map(len, words), default=0)
+    for v in product(range(d), repeat=depth):
+        assert any(v[: len(u)] == u for u in words) == any(v[: len(u)] == u for u in out)
+    for v in out:
+        assert not (v and all(v[:-1] + (x,) in out for x in range(d)))
 
 
 def test_complement():
