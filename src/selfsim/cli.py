@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from . import catalogue
 from .abelian import (
@@ -55,18 +56,32 @@ def _nucleus_for(group: GroupDef, spec: str, args) -> Nucleus:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            if data.get("group") == group.content_hash():
+            if isinstance(data, dict) and data.get("group") == group.content_hash():
                 return Nucleus.from_json(group, data)
         except (OSError, ValueError, KeyError):
             pass  # stale or unreadable cache: recompute
     nucleus = compute_nucleus(group, _budget(args))
     if path:
         try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(nucleus.to_json(), fh)
+            _write_json_atomically(path, nucleus.to_json())
         except OSError:
             pass
     return nucleus
+
+
+def _write_json_atomically(path: str, data) -> None:
+    """Write to a temporary file in the same directory, then rename it over
+    `path`, so a concurrent or interrupted run never leaves a half-written
+    file; the temporary file is removed whatever happens."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _load_table(group: GroupDef, text: str) -> Table:

@@ -173,21 +173,26 @@ class LevelQuotient:
         return "\n".join(lines)
 
 
-def quotient_graph(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> LevelQuotient:
-    """Classes, touching edges, and the shift map at level n."""
-    _check_level(nucleus, n, limit)
-    d = nucleus.group.d
-    words = [tuple(v) for v in product(range(d), repeat=n)]
+def _level_blocks(nucleus: Nucleus, n: int, stable: set[int]) -> tuple[tuple[Word, ...], ...]:
+    """Level-n words fused along the cylinder-stable states, each class
+    sorted and the classes ordered by their least word."""
+    words = [tuple(v) for v in product(range(nucleus.group.d), repeat=n)]
     index = {v: i for i, v in enumerate(words)}
-    stable = cylinder_stable_states(nucleus) - {nucleus.identity_index}
     roots = _roots(len(words), ((index[v], index[nucleus.act(s, v)])
                                 for s in stable for v in words))
     block_words: dict[int, list[Word]] = {}
     for root, v in zip(roots, words):
         block_words.setdefault(root, []).append(v)
-    blocks = tuple(
+    return tuple(
         tuple(sorted(ws)) for ws in sorted(block_words.values(), key=lambda ws: min(ws))
     )
+
+
+def quotient_graph(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> LevelQuotient:
+    """Classes, touching edges, and the shift map at level n."""
+    _check_level(nucleus, n, limit)
+    stable = cylinder_stable_states(nucleus) - {nucleus.identity_index}
+    blocks = _level_blocks(nucleus, n, stable)
     block_of = {w: i for i, ws in enumerate(blocks) for w in ws}
 
     edges = set()
@@ -198,8 +203,8 @@ def quotient_graph(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> LevelQuoti
 
     shift = None
     if n >= 1:
-        prev = quotient_graph(nucleus, n - 1, limit)
-        prev_block = {w: i for i, ws in enumerate(prev.blocks) for w in ws}
+        prev_block = {w: i for i, ws in enumerate(_level_blocks(nucleus, n - 1, stable))
+                      for w in ws}
         targets = []
         for ws in blocks:
             hits = {prev_block[w[:-1]] for w in ws}

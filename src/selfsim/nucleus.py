@@ -102,9 +102,12 @@ class Nucleus:
     def from_json(cls, group: GroupDef, data: dict) -> "Nucleus":
         if data.get("group") != group.content_hash():
             raise ValueError("nucleus data belongs to a different group")
+        states = data["states"]
+        if not isinstance(states, list) or not all(isinstance(t, str) for t in states):
+            raise ValueError("nucleus states must be a list of words")
         machine = group.machine
         ids = set()
-        for text in data["states"]:
+        for text in states:
             sid = machine.intern(group.word(text))
             ids |= machine.reachable([sid, machine.inverse_state(sid)])
         return cls(group, ids)

@@ -4,7 +4,9 @@ A group is given by finitely many generators, each carrying a permutation
 of the alphabet and a tuple of section words: g(x w) = perm(x) section_x(w).
 Elements are freely reduced words over the generators (GenWord).  Actions
 and sections on finite words are evaluated by folding the wreath product
-multiplication over the factors; triviality and equality are decided
+multiplication over the factors in one pass, collecting each letter's
+section parts and freely reducing each section once at the end, so the
+fold is linear in the word length; triviality and equality are decided
 coinductively over the (possibly infinite) automaton of sections, and a
 bisimulation-based interning machine assigns canonical state ids so that
 repeated section and equality queries are cheap.
@@ -32,11 +34,6 @@ def invert_perm(perm: Perm) -> Perm:
     for x, y in enumerate(perm):
         out[y] = x
     return tuple(out)
-
-
-def compose_perms(outer: Perm, inner: Perm) -> Perm:
-    """Permutation applying `inner` first, then `outer`."""
-    return tuple(outer[inner[x]] for x in range(len(inner)))
 
 
 def perm_from_cycles(text: str, d: int) -> Perm:
@@ -316,16 +313,26 @@ class GroupDef:
         return self._factors[(sym, exp)]
 
     def wreath(self, word: GenWord) -> tuple[Perm, tuple[GenWord, ...]]:
-        """Permutation and section tuple of an element, by folding the
-        wreath-product multiplication over the factors (rightmost acts first)."""
+        """Permutation and section tuple of an element, in one pass over the
+        factors (rightmost acts first): track the image of every letter,
+        collect each letter's section parts, and freely reduce each section
+        once at the end, as `act_letter` does for a single letter."""
         d = self.d
-        perm = identity_perm(d)
-        sections: list[GenWord] = [IDENTITY] * d
+        if not word.factors:
+            return identity_perm(d), (IDENTITY,) * d
+        images = list(range(d))
+        parts: list[list[GenWord]] = [[] for _ in range(d)]
         for sym, exp in reversed(word.factors):
             fperm, fsecs = self.factor_wreath(sym, exp)
-            sections = [fsecs[perm[x]] * sections[x] for x in range(d)]
-            perm = compose_perms(fperm, perm)
-        return perm, tuple(sections)
+            for x in range(d):
+                y = images[x]
+                parts[x].append(fsecs[y])
+                images[x] = fperm[y]
+        sections = tuple(
+            GenWord(tuple(f for part in reversed(p) for f in part.factors))
+            for p in parts
+        )
+        return tuple(images), sections
 
     def act_letter(self, word: GenWord, x: int) -> tuple[int, GenWord]:
         """Image of one letter together with the section at that letter."""

@@ -134,9 +134,15 @@ def persistent(edges):
     return alive
 
 
-def nucleus(group, level=10, cap=400):
+def nucleus(group, level=None, cap=400):
     """Brute-force nucleus: absorb deep sections of all pairwise products,
-    with equality decided by the action on the given level."""
+    with equality decided by the action on the given level.
+
+    The default level, max(10, 2 * generators), grows with the group: a
+    fixed level 10 is too shallow for kneading groups with six generators,
+    where it counts 15 states and the nucleus has 13."""
+    if level is None:
+        level = max(10, 2 * len(group.generators))
     elems: dict = {}
     edges: dict = {}
     sig_cache: dict = {}

@@ -69,6 +69,45 @@ def test_nucleus_cache(capsys, tmp_path):
     assert code == 0 and out1.splitlines()[1:] == out3.splitlines()[1:]
 
 
+@pytest.mark.parametrize("content", [
+    '{"group": "', "not json at all", "[]", "",
+    '{"group": "HASH", "states": "ab"}', '{"group": "HASH", "states": [5]}'])
+def test_bad_nucleus_cache_is_recomputed(capsys, tmp_path, content):
+    group = resolve_group("basilica")
+    path = tmp_path / "basilica.group"
+    path.write_text(group.to_text())
+    cache = tmp_path / "basilica.group.nucleus.json"
+    cache.write_text(content.replace("HASH", group.content_hash()))
+    code, out, _ = run(capsys, "nucleus", str(path), "--json")
+    assert code == 0
+    code, fresh, _ = run(capsys, "nucleus", str(path), "--json", "--no-cache")
+    assert code == 0 and out == fresh
+    assert json.loads(cache.read_text()) == json.loads(fresh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "basilica.group", "basilica.group.nucleus.json"]
+
+
+def test_interrupted_cache_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "basilica.group"
+    path.write_text(resolve_group("basilica").to_text())
+    cache = tmp_path / "basilica.group.nucleus.json"
+    stale = json.dumps({"group": "a different group", "states": []})
+    cache.write_text(stale)
+
+    def failing_dump(obj, fh):
+        fh.write(json.dumps(obj)[:10])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    code, out, _ = run(capsys, "nucleus", str(path), "--json")
+    monkeypatch.undo()
+    assert code == 0
+    assert json.loads(out) == compute_nucleus(resolve_group("basilica")).to_json()
+    assert cache.read_text() == stale
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "basilica.group", "basilica.group.nucleus.json"]
+
+
 def test_vg_verbs(capsys):
     swap = json.dumps({"domain": ["0", "1"], "entries": ["e", "e"], "range": ["1", "0"]})
     ident = json.dumps({"domain": ["e"], "entries": ["e"], "range": ["e"]})

@@ -1,9 +1,12 @@
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from selfsim import resolve_group
 from selfsim.ssgroup import GenWord, GroupDef, parse_group
 from selfsim.words import parse_word
 
@@ -167,6 +170,51 @@ def test_wreath_is_homomorphism(grigorchuk):
         assert pgh == tuple(pg[ph[x]] for x in range(2))
         for x in range(2):
             assert grigorchuk.are_equal(sgh[x], sg[ph[x]] * sh[x]).status == "equal"
+
+
+TERNARY_ODOMETER = "alphabet: 3\na = (0 1 2)(e, e, a)\n"
+
+WREATH_GROUPS = [resolve_group("grigorchuk"), resolve_group("basilica"),
+                 resolve_group("trivial:3"), parse_group(TERNARY_ODOMETER)]
+
+
+def _group_and_factors(group):
+    if not group.generators:
+        return st.tuples(st.just(group), st.just([]))
+    factor = st.tuples(st.sampled_from(group.generators), st.sampled_from((1, -1)))
+    return st.tuples(st.just(group), st.lists(factor, max_size=600))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WREATH_GROUPS).flatmap(_group_and_factors), st.data())
+def test_wreath_matches_act_letter(group_and_factors, data):
+    """`wreath` gives, letter by letter, exactly the image and the section
+    word of `act_letter`, and its sections multiply as the wreath product
+    says: the section of g h at x is, as a freely reduced word and not only
+    as a group element, the section of g at h(x) times that of h at x."""
+    group, factors = group_and_factors
+    w = GenWord(factors)
+    for word in (w, GenWord(), w * w.inverse()):
+        perm, sections = group.wreath(word)
+        assert sorted(perm) == list(range(group.d))
+        for x in range(group.d):
+            assert group.act_letter(word, x) == (perm[x], sections[x])
+    cut = data.draw(st.integers(0, len(w)))
+    g, h = GenWord(w.factors[:cut]), GenWord(w.factors[cut:])
+    (pg, sg), (ph, sh), (pw, sw) = group.wreath(g), group.wreath(h), group.wreath(w)
+    assert pw == tuple(pg[ph[x]] for x in range(group.d))
+    assert sw == tuple(sg[ph[x]] * sh[x] for x in range(group.d))
+    assert group.wreath(w * w.inverse()) == (tuple(range(group.d)), (GenWord(),) * group.d)
+
+
+def test_wreath_is_linear_in_the_word_length():
+    # a fresh group, so no triviality verdict is cached; folding by
+    # re-reducing the accumulated sections took about 8 s on this word
+    group = resolve_group("grigorchuk")
+    word = group.word("ab" * 3200)
+    start = time.perf_counter()
+    assert group.is_trivial(word).status == "trivial"
+    assert time.perf_counter() - start < 2.0
 
 
 def test_is_trivial_matches_bruteforce_on_grigorchuk(grigorchuk):
