@@ -28,7 +28,6 @@ from .nucleus import (
 )
 from .vg import (
     Table,
-    make_table,
     orbit_witness,
     same_orbit_clopen,
     thompson_from_antichains,

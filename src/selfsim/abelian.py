@@ -172,8 +172,9 @@ def cokernel(rows: Matrix, ncols: int) -> AbelGroup:
     if not rows:
         return AbelGroup(ncols)
     _, d, _ = smith_normal_form(rows)
-    diag = [d[i][i] for i in range(min(len(d), ncols)) if d[i][i] != 0]
-    return AbelGroup.from_factors(ncols - len(diag), [f for f in diag if f > 1])
+    # the Smith diagonal is already a nonnegative divisibility chain
+    nonzero = [d[i][i] for i in range(min(len(d), ncols)) if d[i][i] != 0]
+    return AbelGroup(ncols - len(nonzero), tuple(f for f in nonzero if f > 1))
 
 
 # -- the section-sum endomorphism ---------------------------------------------
@@ -267,6 +268,11 @@ def vg_abelianization(group: GroupDef, relations: Matrix | None = None,
 
 # -- post-critically finite rational maps -------------------------------------
 
+def _names(value) -> bool:
+    """Whether a JSON value is a list of strings."""
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
 @dataclass(frozen=True)
 class PostCriticalData:
     """Combinatorial portrait of a post-critically finite hyperbolic map:
@@ -340,19 +346,27 @@ class PostCriticalData:
 
     @classmethod
     def from_json(cls, data: dict) -> "PostCriticalData":
+        if not isinstance(data, dict):
+            raise ValueError("a portrait is a JSON object")
+        points, fmap = data.get("points"), data.get("map")
+        cvmod2, preimages = data.get("cvmod2", []), data.get("preimages", {})
+        if not (_names(points) and isinstance(fmap, dict) and _names(list(fmap.values()))
+                and _names(cvmod2) and isinstance(preimages, dict)
+                and all(_names(ys) for ys in preimages.values())):
+            raise ValueError("a portrait needs a list of point names, a map of names to "
+                             "names, and lists of names for cvmod2 and the preimages")
         parity = data.get("degree_parity", "even")
         if parity not in ("even", "odd"):
             raise ValueError(f"bad degree parity {parity!r}")
         pcd = cls(
-            points=tuple(data["points"]),
-            fmap=dict(data["map"]),
+            points=tuple(points),
+            fmap=dict(fmap),
             degree_odd=(parity == "odd"),
-            cvmod2=frozenset(data.get("cvmod2", ())),
+            cvmod2=frozenset(cvmod2),
         )
-        if "preimages" in data:
-            for z, ys in data["preimages"].items():
-                if sorted(ys) != pcd.preimages(z):
-                    raise ValueError(f"preimage list for {z!r} contradicts the map")
+        for z, ys in preimages.items():
+            if sorted(ys) != pcd.preimages(z):
+                raise ValueError(f"preimage list for {z!r} contradicts the map")
         return pcd
 
 

@@ -222,7 +222,10 @@ def cmd_schreier(args) -> None:
 
 
 def cmd_m_invariant(args) -> None:
-    words = [parse_word(s) for s in json.loads(args.antichain)]
+    data = json.loads(args.antichain)
+    if not isinstance(data, list):
+        raise ValueError("the antichain must be a JSON list of words")
+    words = [parse_word(s) for s in data]
     ac = Antichain(words, args.alphabet)
     print(m_invariant(ac.words, args.alphabet))
 

@@ -7,7 +7,9 @@ equivalence, because every minimal-nucleus state sits on or below a cycle
 of the section graph).  Whole pieces coincide only under states that can
 be reached backwards along every letter; those pairs are folded into the
 vertex classes, the rest become edges.  Dropping the last letter is the
-finite shadow of the shift map and descends to classes.
+finite shadow of the shift map and descends to classes.  The action of a
+nucleus state or a generator on a whole level is one `level_permutation`
+walk, read on the lexicographic list of that level's words.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .nucleus import Nucleus
-from .ssgroup import GenWord, GroupDef
+from .ssgroup import GenWord, GroupDef, level_permutation
 from .words import Word, format_word
 
 
@@ -52,9 +54,23 @@ def moore_diagram(nucleus: Nucleus) -> MooreDiagram:
     return MooreDiagram(tuple(str(r) for r in nucleus.reps), tuple(edges))
 
 
-def _check_level(nucleus: Nucleus, n: int, limit: int):
-    if nucleus.group.d ** n > limit:
-        raise ValueError(f"level {n} has more than {limit} vertices")
+def _level_words(d: int, n: int, limit: int) -> list[Word]:
+    """The level-n words in lexicographic order, the order of the indices
+    that `level_permutation` returns."""
+    if n < 0 or d ** n > limit:
+        raise ValueError(f"level {n} must be at least 0 and have at most {limit} vertices")
+    return list(product(range(d), repeat=n))
+
+
+def _moves(nucleus: Nucleus, states, n: int, limit: int):
+    """Index pairs (j, k), j != k, of level-n words such that one of the
+    given nucleus states carries the j-th word to the k-th."""
+    def step(s):
+        return nucleus.perms[s], nucleus.sections[s]
+    for s in states:
+        for j, k in enumerate(level_permutation(step, s, nucleus.group.d, n, limit)):
+            if j != k:
+                yield j, k
 
 
 def _roots(n: int, pairs) -> list[int]:
@@ -76,16 +92,9 @@ def _roots(n: int, pairs) -> list[int]:
 def level_identifications(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> set[tuple[Word, Word]]:
     """Unordered pairs of distinct level-n words carried into each other by
     a nontrivial nucleus state."""
-    _check_level(nucleus, n, limit)
-    pairs: set[tuple[Word, Word]] = set()
-    for i in nucleus:
-        if i == nucleus.identity_index:
-            continue
-        for v in product(range(nucleus.group.d), repeat=n):
-            u = nucleus.act(i, v)
-            if u != v:
-                pairs.add((min(v, u), max(v, u)))
-    return pairs
+    words = _level_words(nucleus.group.d, n, limit)
+    states = (i for i in nucleus if i != nucleus.identity_index)
+    return {(words[min(j, k)], words[max(j, k)]) for j, k in _moves(nucleus, states, n, limit)}
 
 
 def cylinder_stable_states(nucleus: Nucleus) -> set[int]:
@@ -173,13 +182,11 @@ class LevelQuotient:
         return "\n".join(lines)
 
 
-def _level_blocks(nucleus: Nucleus, n: int, stable: set[int]) -> tuple[tuple[Word, ...], ...]:
+def _level_blocks(nucleus: Nucleus, n: int, stable: set[int], limit: int) -> tuple[tuple[Word, ...], ...]:
     """Level-n words fused along the cylinder-stable states, each class
     sorted and the classes ordered by their least word."""
-    words = [tuple(v) for v in product(range(nucleus.group.d), repeat=n)]
-    index = {v: i for i, v in enumerate(words)}
-    roots = _roots(len(words), ((index[v], index[nucleus.act(s, v)])
-                                for s in stable for v in words))
+    words = _level_words(nucleus.group.d, n, limit)
+    roots = _roots(len(words), _moves(nucleus, stable, n, limit))
     block_words: dict[int, list[Word]] = {}
     for root, v in zip(roots, words):
         block_words.setdefault(root, []).append(v)
@@ -190,9 +197,8 @@ def _level_blocks(nucleus: Nucleus, n: int, stable: set[int]) -> tuple[tuple[Wor
 
 def quotient_graph(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> LevelQuotient:
     """Classes, touching edges, and the shift map at level n."""
-    _check_level(nucleus, n, limit)
     stable = cylinder_stable_states(nucleus) - {nucleus.identity_index}
-    blocks = _level_blocks(nucleus, n, stable)
+    blocks = _level_blocks(nucleus, n, stable, limit)
     block_of = {w: i for i, ws in enumerate(blocks) for w in ws}
 
     edges = set()
@@ -203,7 +209,7 @@ def quotient_graph(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> LevelQuoti
 
     shift = None
     if n >= 1:
-        prev_block = {w: i for i, ws in enumerate(_level_blocks(nucleus, n - 1, stable))
+        prev_block = {w: i for i, ws in enumerate(_level_blocks(nucleus, n - 1, stable, limit))
                       for w in ws}
         targets = []
         for ws in blocks:
@@ -252,20 +258,11 @@ class SchreierGraph:
 
 def schreier_graph(group: GroupDef, n: int, limit: int = 1 << 20) -> SchreierGraph:
     """Vertices are the level-n words, one edge per generator move."""
-    if group.d ** n > limit:
-        raise ValueError(f"level {n} has more than {limit} vertices")
-    words = [tuple(v) for v in product(range(group.d), repeat=n)]
-    edges = set()
-    labels: dict[tuple[Word, Word], list[str]] = {}
+    words = _level_words(group.d, n, limit)
+    labels: dict[tuple[Word, Word], set[str]] = {}
     for sym in group.generators:
-        w = GenWord([(sym, 1)])
-        for v in words:
-            u = group.act(w, v)
-            if u != v:
-                key = (min(v, u), max(v, u))
-                edges.add(key)
-                labels.setdefault(key, [])
-                if sym not in labels[key]:
-                    labels[key].append(sym)
-    return SchreierGraph(n, tuple(words), frozenset(edges),
+        for j, k in enumerate(group.perm_on_level(GenWord([(sym, 1)]), n, limit)):
+            if j != k:
+                labels.setdefault((words[min(j, k)], words[max(j, k)]), set()).add(sym)
+    return SchreierGraph(n, tuple(words), frozenset(labels),
                          {k: sorted(v) for k, v in labels.items()})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections import deque
 from itertools import product
 
-from .ssgroup import BudgetExceeded, GenWord, GroupDef, Perm
+from .ssgroup import IDENTITY, BudgetExceeded, GenWord, GroupDef, Perm
 from .words import Word
 
 
@@ -65,9 +65,6 @@ class Nucleus:
 
     def __iter__(self):
         return iter(range(len(self.ids)))
-
-    def rep(self, i: int) -> GenWord:
-        return self.reps[i]
 
     def perm(self, i: int) -> Perm:
         return self.perms[i]
@@ -281,27 +278,23 @@ def is_self_replicating(group: GroupDef, radius: int) -> str:
 
 
 def is_level_transitive(group: GroupDef, n: int, limit: int = 1 << 20) -> bool:
-    """Orbit of 0^n under the generators spans the whole level (which forces
-    transitivity on every shallower level as well)."""
-    if group.d ** n > limit:
-        raise ValueError(f"level {n} has more than {limit} vertices")
-    if n == 0:
-        return True
-    if not group.generators:
-        return False
-    machine = group.machine
-    gens = _generator_states(group)
-    start = (0,) * n
-    seen = {start}
-    stack = [start]
+    """Whether the generators' level-n permutations move the first vertex,
+    0^n, onto every vertex of level n; transitivity there forces it on every
+    shallower level as well.  Levels above `limit` vertices and negative
+    levels raise ValueError."""
+    # without generators the identity's walk still checks the level
+    words = [GenWord([(sym, 1)]) for sym in group.generators] or [IDENTITY]
+    perms = [group.perm_on_level(w, n, limit) for w in words]
+    seen = {0}
+    stack = [0]
     while stack:
-        v = stack.pop()
-        for g in gens:
-            u = machine.act(g, v)
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == group.d ** n
+        i = stack.pop()
+        for perm in perms:
+            j = perm[i]
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(perms[0])
 
 
 def length3_index_triples(nucleus: Nucleus) -> list[tuple[int, int, int]]:

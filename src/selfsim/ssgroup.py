@@ -6,10 +6,12 @@ Elements are freely reduced words over the generators (GenWord).  Actions
 and sections on finite words are evaluated by folding the wreath product
 multiplication over the factors in one pass, collecting each letter's
 section parts and freely reducing each section once at the end, so the
-fold is linear in the word length; triviality and equality are decided
-coinductively over the (possibly infinite) automaton of sections, and a
-bisimulation-based interning machine assigns canonical state ids so that
-repeated section and equality queries are cheap.
+fold is linear in the word length; the action on a whole level is one
+walk down the tree that steps each distinct section once; triviality and
+equality are decided coinductively over the (possibly infinite) automaton
+of sections, and a bisimulation-based interning machine assigns
+canonical state ids so that repeated section and equality queries are
+cheap.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
-from itertools import product
 from typing import Iterable, NamedTuple
 
 from .words import Word
@@ -96,6 +97,27 @@ def perm_parity(perm: Iterable[int]) -> int:
     return parity
 
 
+def level_permutation(step, root, d: int, n: int, limit: int = 1 << 20) -> Perm:
+    """Level-n permutation, on lexicographic indices, of the automaton state
+    `root`; `step(state)` gives a state's first-level permutation and its
+    sections.  The walk goes down one level at a time carrying each vertex's
+    image index and state, and calls `step` once per distinct state."""
+    if n < 0 or d ** n > limit:
+        raise ValueError(f"level {n} must be at least 0 and have at most {limit} vertices")
+    steps = {}
+    images, states = [0], [root]
+    for _ in range(n):
+        next_images, next_states = [], []
+        for j, s in zip(images, states):
+            if s not in steps:
+                steps[s] = step(s)
+            perm, sections = steps[s]
+            next_images.extend(j * d + y for y in perm)
+            next_states.extend(sections)
+        images, states = next_images, next_states
+    return tuple(images)
+
+
 class GenWord:
     """Freely reduced word over generator symbols; the element representation.
 
@@ -120,6 +142,8 @@ class GenWord:
     def parse(cls, text: str) -> "GenWord":
         """Parse "aB c" style: lowercase = generator, uppercase = inverse,
         "e" = identity; whitespace optional."""
+        if not isinstance(text, str):
+            raise ValueError(f"not a word: {text!r}")
         factors = []
         for token in text.split():
             for ch in token:
@@ -362,12 +386,9 @@ class GroupDef:
         return cur
 
     def perm_on_level(self, word: GenWord, n: int, limit: int = 1 << 20) -> Perm:
-        """Permutation of the n-th level, on lexicographic indices."""
-        if self.d ** n > limit:
-            raise ValueError(f"level {n} has more than {limit} vertices")
-        levels = [tuple(v) for v in product(range(self.d), repeat=n)]
-        index = {v: i for i, v in enumerate(levels)}
-        return tuple(index[self.act(word, v)] for v in levels)
+        """Permutation of the n-th level, on lexicographic indices; one
+        `level_permutation` walk that folds each distinct section once."""
+        return level_permutation(self.wreath, word, self.d, n, limit)
 
     # -- the word problem --------------------------------------------------
 
@@ -629,14 +650,6 @@ class Machine:
             hit = self.intern(self.reps[s1] * self.reps[s2], **kw)
             self._products[(s1, s2)] = hit
         return hit
-
-    def act(self, sid: int, v: Word) -> Word:
-        out = []
-        cur = sid
-        for x in v:
-            out.append(self.perms[cur][x])
-            cur = self.kids[cur][x]
-        return tuple(out)
 
     def reachable(self, roots: Iterable[int]) -> set[int]:
         seen = set()

@@ -290,10 +290,16 @@ class Table:
 
     @classmethod
     def from_json(cls, group: GroupDef, data: dict) -> "Table":
+        if not isinstance(data, dict):
+            raise ValueError("a table is a JSON object")
+        columns = [data.get(k) for k in ("domain", "entries", "range")]
+        if not all(isinstance(c, list) for c in columns) or len({len(c) for c in columns}) != 1:
+            raise ValueError("a table's domain, entries and range must be lists of equal length")
+        domain, entries, range_ = columns
         rows = zip(
-            (parse_word(s) for s in data["domain"]),
-            (GenWord.parse(s) for s in data["entries"]),
-            (parse_word(s) for s in data["range"]),
+            (parse_word(s) for s in domain),
+            (GenWord.parse(s) for s in entries),
+            (parse_word(s) for s in range_),
         )
         return cls(group, rows)
 
@@ -312,11 +318,6 @@ class Table:
             f"{format_word(v)}:{g}:{format_word(u)}" for v, g, u in self.rows
         )
         return f"Table[{rows}]"
-
-
-def make_table(group: GroupDef, rows) -> Table:
-    """Validated table; rows sorted by the domain column."""
-    return Table(group, rows)
 
 
 def _equalized(c1, c2, d: int) -> tuple[list[Word], list[Word]]:

@@ -15,14 +15,12 @@ from bisect import bisect_left
 
 Word = tuple[int, ...]
 
-EPSILON: Word = ()
-
 
 def parse_word(text: str) -> Word:
     """Parse a digit string like "011"; "e" or "" is the empty word."""
     if text in ("e", ""):
         return ()
-    if not text.isdigit():
+    if not isinstance(text, str) or not text.isdigit():
         raise ValueError(f"not a word: {text!r}")
     return tuple(int(c) for c in text)
 

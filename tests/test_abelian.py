@@ -96,6 +96,13 @@ def test_cokernel_matches_determinantal_divisors():
         assert got.factors == factors
 
 
+def test_cokernel_of_a_large_prime():
+    """The Smith diagonal is read as it is, never factored again."""
+    p = 2**89 - 1
+    assert cokernel([[p]], 1) == AbelGroup(0, (p,))
+    assert cokernel([[2 * p, 0], [0, 4]], 3) == AbelGroup(1, (2, 4 * p))
+
+
 def test_abelgroup_normalization():
     assert AbelGroup.from_factors(0, [2, 3]) == AbelGroup(0, (6,))
     assert AbelGroup.from_factors(1, [2, 4]) == AbelGroup(1, (2, 4))

@@ -123,6 +123,28 @@ def test_vg_verbs(capsys):
     assert out5.strip() == "111"
 
 
+MALFORMED_JSON = [
+    ("m-invariant", "--alphabet", "2", "5"),
+    ("m-invariant", "--alphabet", "2", '["0", 1]'),
+    ("vg", "trivial:2", "inv", "[]"),
+    ("vg", "trivial:2", "inv", '{"domain": 5, "entries": [], "range": []}'),
+    ("vg", "trivial:2", "inv", '{"domain": ["0", "1"], "entries": ["e", 3], "range": ["1", "0"]}'),
+    ("vg", "trivial:2", "inv",
+     '{"domain": ["0", "1"], "entries": ["e", "e", "q"], "range": ["1", "0"]}'),
+    ("abel-rational", "[]"),
+    ("abel-rational", '{"points": 5, "map": {}}'),
+    ("abel-rational", '{"points": ["c", "v"], "map": {"c": "v", "v": "c"}, "cvmod2": 5}'),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_JSON)
+def test_malformed_json_exits_1(capsys, argv):
+    """Valid JSON of the wrong shape is an input error, never a traceback,
+    and a table's columns must have equal lengths."""
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error:")
+
+
 def test_abel_rational(capsys):
     portrait = json.dumps({
         "degree_parity": "even",

@@ -1,9 +1,11 @@
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from selfsim import resolve_group
 from selfsim.limitspace import (
+    _moves,
     cylinder_stable_states,
     level_identifications,
     moore_diagram,
@@ -12,6 +14,8 @@ from selfsim.limitspace import (
 )
 from selfsim.nucleus import compute_nucleus, is_level_transitive
 from selfsim.ssgroup import parse_group
+
+ODOMETER3_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer3.txt")
 
 
 def test_moore_diagram_examples(adding_nucleus, grigorchuk_nucleus, trivial2):
@@ -158,10 +162,32 @@ def test_schreier_exports(grigorchuk):
     assert "graph" in s.to_dot()
 
 
-def test_level_limit_errors(adding_nucleus):
-    with pytest.raises(ValueError):
-        level_identifications(adding_nucleus, 25, limit=1000)
-    with pytest.raises(ValueError):
-        quotient_graph(adding_nucleus, 25, limit=1000)
-    with pytest.raises(ValueError):
-        schreier_graph(adding_nucleus.group, 25, limit=1000)
+def test_level_limit_errors(adding_nucleus, trivial2):
+    for n in (-1, 25):
+        with pytest.raises(ValueError):
+            level_identifications(adding_nucleus, n, limit=1000)
+        with pytest.raises(ValueError):
+            quotient_graph(adding_nucleus, n, limit=1000)
+        with pytest.raises(ValueError):
+            schreier_graph(adding_nucleus.group, n, limit=1000)
+        for group in (adding_nucleus.group, trivial2):
+            with pytest.raises(ValueError):
+                is_level_transitive(group, n, limit=1000)
+
+
+@pytest.mark.parametrize("name", ["adding", "basilica", "grigorchuk", ODOMETER3_FILE])
+def test_nucleus_walks_match_act(name):
+    """Each nucleus state's level walk moves exactly the words `Nucleus.act`
+    moves, to the same images, and `level_identifications` pairs them up."""
+    nucleus = compute_nucleus(resolve_group(name))
+    for n in range(7):
+        words = list(product(range(nucleus.group.d), repeat=n))
+        index = {v: i for i, v in enumerate(words)}
+        pairs = set()
+        for i in nucleus:
+            moved = {(j, index[nucleus.act(i, v)]) for j, v in enumerate(words)
+                     if nucleus.act(i, v) != v}
+            assert set(_moves(nucleus, [i], n, 1 << 20)) == moved, (name, i, n)
+            if i != nucleus.identity_index:
+                pairs |= {(words[min(j, k)], words[max(j, k)]) for j, k in moved}
+        assert level_identifications(nucleus, n) == pairs

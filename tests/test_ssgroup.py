@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,8 +114,9 @@ def test_perm_on_level_examples(adding, grigorchuk):
     assert mapping == {(0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 1), (1, 1): (0, 0)}
     assert grigorchuk.perm_on_level(grigorchuk.word("a"), 1) == (1, 0)
     assert adding.perm_on_level(GenWord(), 3) == tuple(range(8))
-    with pytest.raises(ValueError):
-        adding.perm_on_level(a, 30, limit=1000)
+    for n in (-1, 30):
+        with pytest.raises(ValueError):
+            adding.perm_on_level(a, n, limit=1000)
 
 
 def test_is_trivial_examples(adding, grigorchuk):
@@ -248,3 +250,26 @@ def test_witness_words_are_valid(basilica):
         res = basilica.is_trivial(g)
         if res.status == "nontrivial":
             assert basilica.act(g, res.witness) != res.witness
+
+
+ODOMETER3_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer3.txt")
+
+LEVEL_GROUPS = [resolve_group("grigorchuk"), resolve_group("basilica"),
+                resolve_group(ODOMETER3_FILE)]
+
+
+def _short_word(group):
+    factor = st.tuples(st.sampled_from(group.generators), st.sampled_from((1, -1)))
+    return st.tuples(st.just(group), st.lists(factor, max_size=30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LEVEL_GROUPS).flatmap(_short_word), st.integers(0, 6))
+def test_perm_on_level_matches_oracle(group_and_factors, n):
+    """Entry i of `perm_on_level` is the lexicographic index of the image of
+    the i-th level-n word, as the oracle computes it word by word."""
+    group, factors = group_and_factors
+    words = list(product(range(group.d), repeat=n))
+    index = {v: i for i, v in enumerate(words)}
+    expect = tuple(index[oracles.apply_word(group, factors, v)] for v in words)
+    assert group.perm_on_level(GenWord(factors), n) == expect

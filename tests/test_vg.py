@@ -12,7 +12,6 @@ from selfsim.nucleus import compute_nucleus
 from selfsim.ssgroup import GenWord
 from selfsim.vg import (
     Table,
-    make_table,
     orbit_witness,
     same_orbit_clopen,
     thompson_from_antichains,
@@ -58,15 +57,15 @@ def catalogue_entries(group):
 
 
 def test_make_table_examples(trivial2, adding):
-    t = make_table(trivial2, [((0,), "e", (1,)), ((1,), "e", (0,))])
+    t = Table(trivial2, [((0,), "e", (1,)), ((1,), "e", (0,))])
     assert t.apply((0, 1, 1)) == (1, 1, 1)
-    make_table(adding, [((0,), "a", (1,)), ((1,), "e", (0,))])
+    Table(adding, [((0,), "a", (1,)), ((1,), "e", (0,))])
     with pytest.raises(ValueError, match="range"):
-        make_table(trivial2, [((0,), "e", (0,)), ((1,), "e", (1, 0))])
+        Table(trivial2, [((0,), "e", (0,)), ((1,), "e", (1, 0))])
     with pytest.raises(ValueError, match="domain"):
-        make_table(trivial2, [((0,), "e", (0,)), ((1, 0), "e", (1,))])
+        Table(trivial2, [((0,), "e", (0,)), ((1, 0), "e", (1,))])
     with pytest.raises(ValueError, match="arity"):
-        make_table(trivial2, [((0,), "e"), ((1,), "e", (0,))])
+        Table(trivial2, [((0,), "e"), ((1,), "e", (0,))])
 
 
 def test_split_row_examples(adding, basilica, trivial2):
