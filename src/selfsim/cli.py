@@ -112,16 +112,19 @@ def cmd_nucleus(args) -> None:
 
 def cmd_check(args) -> None:
     group = catalogue.resolve_group(args.group)
+    # every answer is computed before any is printed, so a bad argument
+    # exits with nothing on standard output
     try:
         nucleus = compute_nucleus(group, _budget(args))
-        print(f"contracting: yes ({len(nucleus)} states)")
-        print(f"regular: {'yes' if is_regular(nucleus) else 'no'}")
+        lines = [f"contracting: yes ({len(nucleus)} states)",
+                 f"regular: {'yes' if is_regular(nucleus) else 'no'}"]
     except NotContractingError as exc:
-        print(f"contracting: {exc}")
-    print(f"self-replicating (radius {args.radius}): "
-          f"{is_self_replicating(group, args.radius)}")
-    print(f"level-transitive up to {args.level}: "
-          f"{'yes' if is_level_transitive(group, args.level) else 'no'}")
+        lines = [f"contracting: {exc}"]
+    lines.append(f"self-replicating (radius {args.radius}): "
+                 f"{is_self_replicating(group, args.radius)}")
+    lines.append(f"level-transitive up to {args.level}: "
+                 f"{'yes' if is_level_transitive(group, args.level) else 'no'}")
+    print("\n".join(lines))
 
 
 def cmd_wp(args) -> None:

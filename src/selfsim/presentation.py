@@ -36,10 +36,13 @@ class UndecidedError(Exception):
 
 def l_embed(group: GroupDef, v: Word, table: Table) -> Table:
     """Table acting as `table` on the cylinder below v, identically elsewhere."""
+    if table.group is not group and table.group.content_hash() != group.content_hash():
+        raise ValueError("table over a different group")
     v = tuple(v)
     rows = [(v + a, g, v + b) for a, g, b in table.rows]
-    rows.extend((c, GenWord(), c) for c in Antichain([v], group.d).complement())
-    return Table(group, rows)
+    e = GenWord()
+    rows.extend((c, e, c) for c in Antichain([v], group.d).complement())
+    return Table._trusted(group, rows)
 
 
 def l_of(group: GroupDef, v: Word, element) -> Table:
@@ -78,9 +81,10 @@ def embedded_conjugator(group: GroupDef, v: Word, a_xy: dict, b_x: dict) -> Tabl
     return out
 
 
-def _vx_normal_rows(table: Table):
-    """Normal form of a trivial-entry table for dedup: merge, bottom-up,
-    every d sibling rows that are an identity split."""
+def _identity_merged(rows, d: int) -> tuple:
+    """Normal form of the rows of a trivial-entry table, sorted by domain,
+    for dedup: merge, bottom-up, every d sibling rows that are an identity
+    split."""
 
     def merge(family):
         parent = family[0][2][:-1]
@@ -88,15 +92,24 @@ def _vx_normal_rows(table: Table):
             return (family[0][0][:-1], family[0][1], parent)
         return None
 
-    return tuple(coarsen(table.rows, table.group.d, lambda r: r[0], merge))
+    return tuple(coarsen(rows, d, lambda r: r[0], merge))
 
 
 def offcylinder_stabilizer_tables(group: GroupDef) -> list[Table]:
     """Finite stabilizer set of the complement of the base-letter cylinder:
     every permutation table of domain depth at most two fixing that cylinder
-    pointwise, plus one exchange of cylinders of unequal depths."""
+    pointwise, plus one exchange of cylinders of unequal depths.  One table
+    is built per distinct normal form."""
     d = group.d
+    e = GenWord()
     found: dict[tuple, Table] = {}
+
+    def keep(rows):
+        rows.sort(key=lambda r: r[0])
+        key = _identity_merged(rows, d)
+        if key not in found:
+            found[key] = Table._trusted(group, rows)
+
     # complete antichains of depth <= 2: per letter keep it or split it once
     for split in product((False, True), repeat=d):
         words: list[Word] = []
@@ -110,18 +123,15 @@ def offcylinder_stabilizer_tables(group: GroupDef) -> list[Table]:
         for perm in permutations(movable):
             if perm == tuple(movable):
                 continue
-            mapping = dict(zip(movable, perm))
-            mapping.update((w, w) for w in fixed)
-            t = Table.permutation(group, words, mapping)
-            found.setdefault(_vx_normal_rows(t), t)
+            rows = [(w, e, w) for w in fixed]
+            rows.extend((w, e, u) for w, u in zip(movable, perm))
+            keep(rows)
     # one exchange of unequal depths, below the first non-base letter
     x2 = next(x for x in range(d) if x != BASE_LETTER)
     lo, hi = (x2, 0), (x2, 1, 0)
-    rows = [(lo, GenWord(), hi), (hi, GenWord(), lo)]
-    rows.extend((c, GenWord(), c)
-                for c in Antichain([lo, hi], d).complement())
-    swap = Table(group, rows)
-    found.setdefault(_vx_normal_rows(swap), swap)
+    rows = [(lo, e, hi), (hi, e, lo)]
+    rows.extend((c, e, c) for c in Antichain([lo, hi], d).complement())
+    keep(rows)
     return [found[k] for k in sorted(found)]
 
 
@@ -179,16 +189,28 @@ def _nontrivial_states(nucleus: Nucleus) -> list[int]:
     return [i for i in nucleus if i != nucleus.identity_index]
 
 
+def _embeddings(nucleus: Nucleus):
+    """`embed(v, i)`: the embedding L@v of nucleus state i and its inverse,
+    each built once per (v, i) for the life of the returned function."""
+    memo: dict[tuple[Word, int], tuple[Table, Table]] = {}
+
+    def embed(v: Word, i: int) -> tuple[Table, Table]:
+        pair = memo.get((v, i))
+        if pair is None:
+            t = l_of(nucleus.group, v, nucleus.reps[i])
+            pair = memo[(v, i)] = (t, t.inverse())
+        return pair
+
+    return embed
+
+
 def relators_N(nucleus: Nucleus) -> list[Relator]:
     """One relator L(g1) L(g2) L(g3) per length-at-most-3 nucleus relation."""
-    group = nucleus.group
+    embed = _embeddings(nucleus)
+    base = (BASE_LETTER,)
     out = []
     for i, j, k in length3_index_triples(nucleus):
-        table = (
-            l_of(group, (BASE_LETTER,), nucleus.reps[i])
-            * l_of(group, (BASE_LETTER,), nucleus.reps[j])
-            * l_of(group, (BASE_LETTER,), nucleus.reps[k])
-        )
+        table = embed(base, i)[0] * embed(base, j)[0] * embed(base, k)[0]
         sym = "*".join(_sym_L(nucleus.reps[t]) for t in (i, j, k))
         out.append(Relator("N", sym, table))
     return out
@@ -200,11 +222,15 @@ def relators_C(nucleus: Nucleus) -> list[Relator]:
     group = nucleus.group
     d = group.d
     states = _nontrivial_states(nucleus)
-    stabilizers = offcylinder_stabilizer_tables(group)
+    # a trivial nucleus has no L(g) to commute with the stabilizers
+    stabilizers = ([(h, h.inverse()) for h in offcylinder_stabilizer_tables(group)]
+                   if states else [])
+    embed = _embeddings(nucleus)
     out = []
 
-    def commutator(t1: Table, t2: Table) -> Table:
-        return t1 * t2 * t1.inverse() * t2.inverse()
+    def commutator(p1: tuple[Table, Table], p2: tuple[Table, Table]) -> Table:
+        (t1, t1_inv), (t2, t2_inv) = p1, p2
+        return t1 * t2 * t1_inv * t2_inv
 
     verts1 = [((x,), (y,)) for x in range(d) for y in range(d) if x != y]
     verts2 = [
@@ -217,14 +243,13 @@ def relators_C(nucleus: Nucleus) -> list[Relator]:
         for v1, v2 in pairs:
             for i in states:
                 for j in states:
-                    t = commutator(l_of(group, v1, nucleus.reps[i]),
-                                   l_of(group, v2, nucleus.reps[j]))
+                    t = commutator(embed(v1, i), embed(v2, j))
                     sym = (f"[{_sym_L(nucleus.reps[i], v1)}, "
                            f"{_sym_L(nucleus.reps[j], v2)}]")
                     out.append(Relator("C", sym, t))
     for i in states:
         for w_index, h in enumerate(stabilizers):
-            t = commutator(l_of(group, (BASE_LETTER,), nucleus.reps[i]), h)
+            t = commutator(embed((BASE_LETTER,), i), h)
             sym = f"[{_sym_L(nucleus.reps[i])}, W{w_index}]"
             out.append(Relator("C", sym, t))
     return out
@@ -248,24 +273,24 @@ def level2_permutation(table: Table) -> Table:
     if sorted(mapping.values()) != sorted(mapping):
         raise ValueError("solved element is not a level-two permutation table")
     e = GenWord()
-    return Table(group, [(v, e, mapping[v]) for v in mapping])
+    return Table._trusted(group, [(v, e, mapping[v]) for v in mapping])
 
 
 def relators_S(nucleus: Nucleus) -> list[Relator]:
     """For each nucleus state g: L(g) equals a level-two permutation times
     the embeddings of its sections below the base letter.  The permutation
     is solved for by table division and verified structurally."""
-    group = nucleus.group
-    d = group.d
+    d = nucleus.group.d
+    embed = _embeddings(nucleus)
     out = []
     for i in nucleus:
         rep = nucleus.reps[i]
-        sections = [nucleus.reps[nucleus.section(i, y)] for y in range(d)]
+        sections = [nucleus.section(i, y) for y in range(d)]
         prod = None
         for y in range(d):
-            t = l_of(group, (BASE_LETTER, y), sections[y])
+            t = embed((BASE_LETTER, y), sections[y])[0]
             prod = t if prod is None else prod * t
-        lg = l_of(group, (BASE_LETTER,), rep)
+        lg = embed((BASE_LETTER,), i)[0]
         h = level2_permutation(lg * prod.inverse())
         whole = lg * (h * prod).inverse()
         hmap = ",".join(
@@ -274,7 +299,7 @@ def relators_S(nucleus: Nucleus) -> list[Relator]:
         sym = (
             f"{_sym_L(rep)}*("
             + f"perm<{hmap or 'id'}>*"
-            + "*".join(_sym_L(sections[y], (BASE_LETTER, y)) for y in range(d))
+            + "*".join(_sym_L(nucleus.reps[sections[y]], (BASE_LETTER, y)) for y in range(d))
             + ")^-1"
         )
         out.append(Relator("S", sym, whole))

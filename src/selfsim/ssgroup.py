@@ -157,10 +157,17 @@ class GenWord:
                     raise ValueError(f"bad symbol {ch!r} in word {text!r}")
         return cls(factors)
 
+    # words are immutable, so a product with the identity can share its operand
     def inverse(self) -> "GenWord":
+        if not self.factors:
+            return self
         return GenWord(tuple((s, -e) for s, e in reversed(self.factors)))
 
     def __mul__(self, other: "GenWord") -> "GenWord":
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
         return GenWord(self.factors + other.factors)
 
     def __len__(self):

@@ -7,11 +7,18 @@ splits into its d children without changing the homeomorphism, which is
 what composition, equality and canonical forms are built on.  Tables with
 trivial entries realize the prefix-replacement (Higman-Thompson type)
 homeomorphisms over the bare alphabet.
+
+Tables are validated where they enter: the public constructor, `permutation`,
+`from_json` and `thompson_from_antichains` check every entry and both
+columns.  Results built inside the calculus (products, inverses, splits,
+refinements, canonical forms) have complete antichain columns by
+construction and go through the unchecked `Table._trusted` instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 
 from .nucleus import Budget, Nucleus, NotContractingError, compute_nucleus
 from .ssgroup import BudgetExceeded, GenWord, GroupDef, perm_parity
@@ -26,6 +33,7 @@ from .words import (
 )
 
 Row = tuple[Word, GenWord, Word]
+_domain = itemgetter(0)
 
 
 class Table:
@@ -43,7 +51,7 @@ class Table:
             checked.append((tuple(v), group.word(g), tuple(u)))
         if not checked:
             raise ValueError("a table needs at least one row")
-        checked.sort(key=lambda r: r[0])
+        checked.sort(key=_domain)
         if not is_complete_antichain([r[0] for r in checked], group.d):
             raise ValueError("domain is not a complete antichain")
         if not is_complete_antichain([r[2] for r in checked], group.d):
@@ -52,13 +60,23 @@ class Table:
         self.rows = tuple(checked)
 
     @classmethod
+    def _trusted(cls, group: GroupDef, rows) -> "Table":
+        """A table from rows of tuple words and GenWords of `group` whose
+        columns are complete antichains by construction: sorted by domain,
+        never re-checked.  Outside input goes through `Table(...)`."""
+        t = cls.__new__(cls)
+        t.group = group
+        t.rows = tuple(sorted(rows, key=_domain))
+        return t
+
+    @classmethod
     def identity(cls, group: GroupDef) -> "Table":
-        return cls(group, [((), GenWord(), ())])
+        return cls._trusted(group, [((), GenWord(), ())])
 
     @classmethod
     def from_element(cls, group: GroupDef, g) -> "Table":
         """The table of a single group element acting at the root."""
-        return cls(group, [((), group.word(g), ())])
+        return cls._trusted(group, [((), group.word(g), ())])
 
     @classmethod
     def permutation(cls, group: GroupDef, words, mapping) -> "Table":
@@ -88,7 +106,7 @@ class Table:
         """Replace row i by its d children; the action is unchanged."""
         new = list(self.rows[:i]) + list(self.rows[i + 1 :])
         new.extend(self._children(self.rows[i], 0))
-        return Table(self.group, new)
+        return Table._trusted(self.group, new)
 
     def _refine(self, target, side: int) -> "Table":
         """Split rows until the chosen column (0 domain, 2 range) equals
@@ -104,7 +122,7 @@ class Table:
             if w not in want:  # a target word had to be split
                 raise ValueError("target does not refine the table column")
             rows.append(row)
-        return Table(self.group, rows)
+        return Table._trusted(self.group, rows)
 
     def _paired(self, a_rows, a_side: int, b_rows, b_side: int):
         """Split two row lists, whose chosen columns are complete antichains,
@@ -146,17 +164,21 @@ class Table:
             raise ValueError("tables over different groups")
         rows = [(v, g * h, u)
                 for (v, h, _), (_, g, u) in self._paired(other.rows, 2, self.rows, 0)]
-        return Table(self.group, rows)
+        return Table._trusted(self.group, rows)
 
     def __mul__(self, other: "Table") -> "Table":
         return self.compose(other)
 
     def inverse(self) -> "Table":
-        return Table(self.group, [(u, g.inverse(), v) for v, g, u in self.rows])
+        return Table._trusted(self.group, [(u, g.inverse(), v) for v, g, u in self.rows])
 
     def apply(self, word: Word) -> Word:
         """Image of a finite word long enough to reach the domain antichain."""
         word = tuple(word)
+        d = self.group.d
+        for x in word:
+            if not 0 <= x < d:
+                raise ValueError(f"letter {x} is not in the alphabet 0..{d - 1}")
         for v, g, u in self.rows:
             if is_prefix(v, word):
                 return u + self.group.act(g, word[len(v) :])
@@ -243,7 +265,7 @@ class Table:
             except BudgetExceeded:
                 pass
             rows.append((v, g, u))
-        return Table(group, rows)
+        return Table._trusted(group, rows)
 
     # -- invariants ----------------------------------------------------------
 

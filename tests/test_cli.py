@@ -123,6 +123,19 @@ def test_vg_verbs(capsys):
     assert out5.strip() == "111"
 
 
+def test_vg_apply_rejects_a_letter_outside_the_alphabet(capsys):
+    swap = json.dumps({"domain": ["0", "1"], "entries": ["e", "e"], "range": ["1", "0"]})
+    for word in ("02", "2"):
+        code, out, err = run(capsys, "vg", "trivial:2", "apply", swap, word)
+        assert code == 1 and out == "" and "letter 2" in err
+
+
+def test_check_with_a_bad_argument_prints_nothing(capsys):
+    for flag in ("--level", "--radius"):
+        code, out, err = run(capsys, "check", "adding", flag, "-1")
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 MALFORMED_JSON = [
     ("m-invariant", "--alphabet", "2", "5"),
     ("m-invariant", "--alphabet", "2", '["0", 1]'),

@@ -180,6 +180,19 @@ def test_all_relators_verify(adding, grigorchuk):
             assert verify_relator(relator, limit=10_000), relator.symbolic
 
 
+def test_relator_tables_pass_validation(adding, grigorchuk, trivial3):
+    """Relator tables are built without checks; each would pass them."""
+    for group in (adding, grigorchuk, trivial3):
+        for relator in emit_presentation(group).all_relators():
+            t = relator.table
+            assert Table(group, t.rows).rows == t.rows, relator.symbolic
+
+
+def test_l_embed_rejects_a_table_of_another_group(adding, basilica):
+    with pytest.raises(ValueError, match="different group"):
+        l_embed(adding, (0,), Table.from_element(basilica, "b"))
+
+
 def test_corrupted_relator_fails(grigorchuk):
     bundle = emit_presentation(grigorchuk)
     relator = bundle.relators["N"][0]

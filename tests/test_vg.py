@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import apply_word
 from selfsim import resolve_group
 from selfsim.nucleus import compute_nucleus
+from selfsim.presentation import l_embed
 from selfsim.ssgroup import GenWord
 from selfsim.vg import (
     Table,
@@ -66,6 +67,42 @@ def test_make_table_examples(trivial2, adding):
         Table(trivial2, [((0,), "e", (0,)), ((1, 0), "e", (1,))])
     with pytest.raises(ValueError, match="arity"):
         Table(trivial2, [((0,), "e"), ((1,), "e", (0,))])
+
+
+def test_apply_rejects_letters_outside_the_alphabet(trivial2):
+    t = swap_table(trivial2)
+    for word in ((0, 2), (2,)):
+        with pytest.raises(ValueError, match="letter 2 is not in the alphabet"):
+            t.apply(word)
+    with pytest.raises(ValueError, match="letter -1"):
+        t.apply((-1, 0))
+
+
+MALFORMED_TABLES = {
+    "incomplete domain": ({"domain": ["0"], "entries": ["a"], "range": ["e"]}, "domain"),
+    "overlapping range": ({"domain": ["0", "1"], "entries": ["e", "e"], "range": ["0", "01"]},
+                          "range"),
+    "bad domain letter": ({"domain": ["0", "2"], "entries": ["e", "e"], "range": ["0", "1"]},
+                          "domain"),
+    "bad range letter": ({"domain": ["0", "1"], "entries": ["e", "e"], "range": ["0", "2"]},
+                         "range"),
+    "non-digit letter": ({"domain": ["0", "x"], "entries": ["e", "e"], "range": ["0", "1"]},
+                         "not a word"),
+    "unknown generator": ({"domain": ["0", "1"], "entries": ["q", "e"], "range": ["1", "0"]},
+                          "unknown generator"),
+}
+
+
+@pytest.mark.parametrize("data,message", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
+def test_from_json_rejects_malformed_tables(adding, data, message):
+    """Tables are validated where they enter; the calculus trusts them after."""
+    with pytest.raises(ValueError, match=message):
+        Table.from_json(adding, data)
+
+
+def test_permutation_rejects_a_non_bijection(trivial2):
+    with pytest.raises(ValueError, match="range"):
+        Table.permutation(trivial2, [(0,), (1,)], {(0,): (0,), (1,): (0,)})
 
 
 def test_split_row_examples(adding, basilica, trivial2):
@@ -367,6 +404,41 @@ def test_random_compose_and_inverse_match_oracle(name, seed):
         assert image(t1, image(inv, x)) == x
     for x in words_below(t1):
         assert image(inv, image(t1, x)) == x
+
+
+def passes_validation(table):
+    """The validating constructor accepts the rows and keeps them as they are."""
+    return Table(table.group, table.rows).rows == table.rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("adding", "basilica", "trivial:3")), st.integers(0, 2**32))
+def test_internal_results_pass_validation(name, seed):
+    """Every result the calculus builds without checks would pass them."""
+    group, entries = group_and_entries(name)
+    nucleus = compute_nucleus(group)
+    rng = random.Random(seed)
+    d = group.d
+    t1 = random_table(rng, group, entries, max_depth=2)
+    t2 = random_table(rng, group, entries, max_depth=2)
+    vertex = tuple(rng.randrange(d) for _ in range(rng.randrange(3)))
+    domain_target = [v + tail for v, _, _ in t1.rows
+                     for tail in random_complete_antichain(rng, d, 2)]
+    range_target = [u + tail for _, _, u in t1.rows
+                    for tail in random_complete_antichain(rng, d, 2)]
+    split = t1.split_row(rng.randrange(len(t1.rows)))
+    results = [
+        t1 * t2,
+        t1.inverse(),
+        split,
+        t1.refine_domain(domain_target),
+        t1.refine_range(range_target),
+        split.canonical_form(nucleus),
+        (t1 * t2 * t1.inverse()).canonical_form(nucleus),
+        l_embed(group, vertex, t1),
+    ]
+    for t in results:
+        assert passes_validation(t)
 
 
 @settings(max_examples=40, deadline=None)
