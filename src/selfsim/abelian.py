@@ -4,8 +4,9 @@ linear algebra.
 The abelianized group is the cokernel of 1 - sigma on the abelianization
 of the underlying self-similar group, where sigma sends a class to the sum
 of its first-level sections; for odd alphabets an extra order-two summand
-twisted by the permutation parity enters.  Everything reduces to a Smith
-normal form over the integers (arbitrary precision).  The post-critical
+twisted by the permutation parity enters.  Everything reduces to the
+invariant factors of an integer matrix, read off a Smith form reduced
+modulo a maximal minor.  The post-critical
 specialization presents the relevant homology combinatorially from a
 finite portrait of a rational map.
 """
@@ -32,7 +33,12 @@ def _identity(n: int) -> Matrix:
 
 def smith_normal_form(matrix: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """(U, D, V) with D = U @ matrix @ V diagonal, U and V unimodular, and
-    the diagonal a divisibility chain d1 | d2 | ...; exact arithmetic."""
+    the diagonal a divisibility chain d1 | d2 | ...; exact arithmetic.
+
+    This is the reference path that carries the transforms along; its
+    entries are unbounded, so a dense matrix can blow up.  `cokernel` does
+    not use it: it needs only the diagonal, which it reads off a form
+    reduced modulo a maximal minor."""
     m = [row[:] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -167,14 +173,109 @@ class AbelGroup:
         return " + ".join(parts) if parts else "trivial group"
 
 
+def _rank_and_minor(rows: Matrix, ncols: int) -> tuple[int, int]:
+    """(rank r, |D|) for one nonzero r x r minor D of the matrix, by
+    fraction-free (Bareiss) elimination with full pivoting: every entry it
+    writes is a minor, so none exceeds the Hadamard bound."""
+    a = [row[:] for row in rows]
+    cols = list(range(ncols))
+    prev = 1
+    for r in range(len(a)):
+        pivot = next(((i, j) for i in range(r, len(a)) for j in cols if a[i][j]), None)
+        if pivot is None:
+            return r, abs(prev)
+        i, j = pivot
+        a[r], a[i] = a[i], a[r]
+        cols.remove(j)
+        top, p = a[r], a[r][j]
+        for row in a[r + 1:]:
+            f = row[j]
+            for c in cols:
+                row[c] = (p * row[c] - f * top[c]) // prev
+        prev = p
+    return len(a), abs(prev)
+
+
+def _gcd_step(p: int, b: int) -> tuple[int, int, int, int, int]:
+    """(g, x, y, u, v) for p, b > 0 with g = gcd(p, b) = x*p + y*b, u = b/g
+    and v = p/g: the unimodular step [[x, y], [-u, v]] takes (p, b) to (g, 0)."""
+    g = gcd(p, b)
+    x = pow(p // g, -1, b // g)
+    return g, x, (g - p * x) // b, b // g, p // g
+
+
+def _diagonal_mod(rows: Matrix, modulus: int) -> list[int]:
+    """A diagonal of the lattice spanned by the rows and modulus * Z^n,
+    one entry per column; every entry divides `modulus`.
+
+    Unimodular row and column steps keep that lattice, so each entry is
+    reduced mod `modulus` after every step.  The pivot row and column are
+    cleared, then the pivot, together with the row modulus * e_0, stands
+    for gcd(pivot, modulus), and the pivot column is dropped.
+    """
+    ncols = len(rows[0])
+    a = [row for row in ([x % modulus for x in r] for r in rows) if any(row)]
+    diag = []
+    while a:
+        top = a.pop()
+        j = next(j for j, x in enumerate(top) if x)
+        for row in a + [top]:
+            row[0], row[j] = row[j], row[0]
+        p = top[0]
+        dirty = True
+        while dirty:
+            for row in a:  # clear the pivot column with row steps
+                b = row[0]
+                if b % p == 0:  # a plain reduction, which keeps the pivot
+                    if b:
+                        q = b // p
+                        row[:] = [(t - q * s) % modulus for s, t in zip(top, row)]
+                    continue
+                p, x, y, u, v = _gcd_step(p, b)
+                top[:], row[:] = ([(x * s + y * t) % modulus for s, t in zip(top, row)],
+                                  [(v * t - u * s) % modulus for s, t in zip(top, row)])
+            dirty = False
+            for k in range(1, len(top)):  # clear the pivot row with column steps
+                b = top[k]
+                if b % p == 0:  # the rest of the pivot column is zero
+                    top[k] = 0
+                    continue
+                p, x, y, u, v = _gcd_step(p, b)
+                for row in a + [top]:
+                    row[0], row[k] = ((x * row[0] + y * row[k]) % modulus,
+                                      (v * row[k] - u * row[0]) % modulus)
+                dirty = True  # the pivot column is filled again
+                break
+        diag.append(gcd(p, modulus))
+        a = [row[1:] for row in a if any(row[1:])]
+    return diag + [modulus] * (ncols - len(diag))
+
+
 def cokernel(rows: Matrix, ncols: int) -> AbelGroup:
-    """Quotient of Z^ncols by the subgroup generated by the given rows."""
-    if not rows:
-        return AbelGroup(ncols)
-    _, d, _ = smith_normal_form(rows)
-    # the Smith diagonal is already a nonnegative divisibility chain
-    nonzero = [d[i][i] for i in range(min(len(d), ncols)) if d[i][i] != 0]
-    return AbelGroup(ncols - len(nonzero), tuple(f for f in nonzero if f > 1))
+    """Quotient of Z^ncols by the subgroup generated by the given rows.
+
+    Rows must share one width of at most `ncols`; shorter rows are padded
+    with zero columns.  With r the rank and D a nonzero r x r minor, the
+    lattice rows + D * Z^ncols has the invariant factors d_1 | ... | d_r
+    of the rows followed by ncols - r copies of D (d_r divides
+    d_1 * ... * d_r, which divides D), so a diagonal reduced mod D yields
+    them with no entry above D (Domich, Kannan and Trotter, 1987).
+    """
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
+        if len(row) > ncols:
+            raise ValueError(f"row {i} has {len(row)} entries, more than the {ncols} columns")
+    rows = [list(row) + [0] * (ncols - len(row)) for row in rows]
+    rank, minor = _rank_and_minor(rows, ncols)
+    if minor == 1:  # every factor is 1; also the case rank 0
+        return AbelGroup(ncols - rank)
+    diag = _diagonal_mod(rows, minor)
+    for i in range(len(diag)):  # gcd and lcm pairs turn a diagonal into a chain
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return AbelGroup(ncols - rank, tuple(f for f in diag[:rank] if f > 1))
 
 
 # -- the section-sum endomorphism ---------------------------------------------

@@ -57,7 +57,7 @@ def _nucleus_for(group: GroupDef, spec: str, args) -> Nucleus:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             if isinstance(data, dict) and data.get("group") == group.content_hash():
-                return Nucleus.from_json(group, data)
+                return Nucleus.from_json(group, data, _budget(args))
         except (OSError, ValueError, KeyError):
             pass  # stale or unreadable cache: recompute
     nucleus = compute_nucleus(group, _budget(args))

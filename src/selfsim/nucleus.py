@@ -96,17 +96,27 @@ class Nucleus:
         }
 
     @classmethod
-    def from_json(cls, group: GroupDef, data: dict) -> "Nucleus":
+    def from_json(cls, group: GroupDef, data: dict, budget: Budget = Budget()) -> "Nucleus":
         if data.get("group") != group.content_hash():
             raise ValueError("nucleus data belongs to a different group")
         states = data["states"]
         if not isinstance(states, list) or not all(isinstance(t, str) for t in states):
             raise ValueError("nucleus states must be a list of words")
         machine = group.machine
-        ids = set()
-        for text in states:
-            sid = machine.intern(group.word(text))
-            ids |= machine.reachable([sid, machine.inverse_state(sid)])
+        kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
+        try:
+            ids = set()
+            for text in states:
+                sid = machine.intern(group.word(text), **kw)
+                ids |= machine.reachable([sid, machine.inverse_state(sid, **kw)])
+            start = machine.reachable([machine.identity, *_generator_states(group, **kw)])
+        except BudgetExceeded as exc:
+            raise ValueError(f"nucleus data does not load: {exc}") from None
+        # what compute_nucleus returns: its starting set and otherwise only
+        # states on or below a section cycle, absorbing every product
+        if (ids != start | _persistent_states(machine.kids, ids, set())
+                or not _absorbs(machine, ids, start)):
+            raise ValueError("nucleus data is not the nucleus of this group")
         return cls(group, ids)
 
 
@@ -133,25 +143,26 @@ def section_closure(group: GroupDef, words, budget: Budget = Budget()) -> list[G
     return sorted((machine.reps[s] for s in closed), key=lambda w: (len(w), str(w)))
 
 
-def _persistent_states(machine, root: int, stop: set[int]) -> set[int]:
-    """States reachable from `root` at arbitrarily large depth, ignoring the
-    region `stop` (which must be section-closed, so no cycle leaves it).
+def _persistent_states(kids, roots, stop: set) -> set:
+    """States reachable from `roots` at arbitrarily large depth along the
+    section table `kids`, ignoring the region `stop` (which must be
+    section-closed, so no cycle leaves it).
 
     A state recurs arbitrarily deep iff it has an infinite backward chain
     inside the region, i.e. iff it survives iterated peeling of states
     without incoming region edges.
     """
     region = set()
-    stack = [root]
+    stack = list(roots)
     while stack:
         s = stack.pop()
         if s in region or s in stop:
             continue
         region.add(s)
-        stack.extend(machine.kids[s])
+        stack.extend(kids[s])
     indeg = {s: 0 for s in region}
     for s in region:
-        for kid in machine.kids[s]:
+        for kid in kids[s]:
             if kid in indeg:
                 indeg[kid] += 1
     queue = deque(s for s, n in indeg.items() if n == 0)
@@ -159,12 +170,49 @@ def _persistent_states(machine, root: int, stop: set[int]) -> set[int]:
     while queue:
         s = queue.popleft()
         alive.discard(s)
-        for kid in machine.kids[s]:
+        for kid in kids[s]:
             if kid in alive:
                 indeg[kid] -= 1
                 if indeg[kid] == 0:
                     queue.append(kid)
     return alive
+
+
+def _absorbs(machine, current: set[int], right: set[int]) -> bool:
+    """True when every deep section of every product g*h, with g in the
+    section-closed set `current` and h in its section-closed subset
+    `right`, is a state of `current`.
+
+    Sections of products are products, (g*h)|_x = g|_{h(x)} * h|_x, so the
+    pairs (g, h) form a finite automaton whose deep sections are the pairs
+    on or below a cycle.  Each of those must be bisimilar to a state of
+    `current`; machine states are pairwise not bisimilar.  Only the
+    machine's tables are read: no product is interned.
+
+    With `right` the section closure of the generators and their inverses,
+    this proves that the deep sections of every element lie in `current`
+    (induct on words, appending one generator at a time), so `current`
+    holds the whole nucleus.
+    """
+    perms, kids = machine.perms, machine.kids
+    succ = {g: kids[g] for g in current}
+    label = {g: perms[g] for g in current}
+    pairs = {(g, h): tuple((kids[g][y], kids[h][x]) for x, y in enumerate(perms[h]))
+             for g in current for h in right}
+    for pair in _persistent_states(pairs, pairs, set()):
+        g, h = pair
+        succ[pair] = pairs[pair]
+        label[pair] = tuple(perms[g][y] for y in perms[h])
+    # coarsest partition by level-one permutation that is stable under sections
+    block, count = label, None
+    while True:
+        sigs: dict = {}
+        block = {n: sigs.setdefault((block[n], tuple(block[k] for k in succ[n])), len(sigs))
+                 for n in succ}
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    return {block[n] for n in succ} == {block[g] for g in current}
 
 
 def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
@@ -190,7 +238,7 @@ def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
                     continue
                 done.add((g, h))
                 prod = machine.product_state(g, h, **kw)
-                for s in _persistent_states(machine, prod, current):
+                for s in _persistent_states(machine.kids, [prod], current):
                     if s not in current and s not in added:
                         added.add(s)
                         added |= machine.reachable([machine.inverse_state(s, **kw)]) - current

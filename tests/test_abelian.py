@@ -1,7 +1,10 @@
+import contextlib
+import math
 import random
+import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from selfsim import kneading_group, resolve_group
@@ -101,6 +104,80 @@ def test_cokernel_of_a_large_prime():
     p = 2**89 - 1
     assert cokernel([[p]], 1) == AbelGroup(0, (p,))
     assert cokernel([[2 * p, 0], [0, 4]], 3) == AbelGroup(1, (2, 4 * p))
+
+
+@st.composite
+def lattices(draw):
+    """Rows of one width up to ncols <= 5, sometimes with a zero row and a
+    row that is an integer combination of the others."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    width = draw(st.integers(min_value=0, max_value=ncols))
+    row = st.lists(st.integers(min_value=-6, max_value=6), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * width)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                               min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(width)])
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattices())
+@example(([[4, 0], [0, 6]], 2))  # a diagonal that is not yet a divisibility chain
+@example(([[1, 4, -1], [-2, -6, -5]], 3))  # the pivot divides the entry it clears
+def test_cokernel_matches_the_oracle(lattice):
+    rows, ncols = lattice
+    got = cokernel(rows, ncols)
+    padded = [r + [0] * (ncols - len(r)) for r in rows]
+    assert (got.rank, got.factors) == oracles.abelian_invariants(padded, ncols)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError after `seconds` instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def dense_matrix(seed, n):
+    """The benchmark's dense recipe: entries in [-5, 5] from a seeded rng."""
+    rng = random.Random(seed)
+    return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed, expected", [(1000, AbelGroup(0, (991655,))),
+                                            (1005, AbelGroup(0, (2204018,)))])
+def test_dense_8x8_cokernels_finish(seed, expected):
+    """Two matrices on which a Smith form carrying its transforms blew up."""
+    with time_limit(1.0):
+        got = cokernel(dense_matrix(seed, 8), 8)
+    assert got == expected
+
+
+def test_dense_40x40_cokernel_is_fast_and_matches_the_determinant():
+    m = dense_matrix(40, 40)
+    with time_limit(1.0):
+        got = cokernel(m, 40)
+    d = det(m)
+    assert d != 0 and got.rank == 0
+    assert math.prod(got.factors) == abs(d)
+
+
+@pytest.mark.parametrize("rows, ncols, row", [
+    ([[0, 0, 2]], 2, 0), ([[1, 2, 3]], 2, 0), ([[1, 2], [1]], 2, 1), ([[1], [1, 2]], 3, 1)])
+def test_cokernel_rejects_bad_row_widths(rows, ncols, row):
+    with pytest.raises(ValueError, match=f"row {row} "):
+        cokernel(rows, ncols)
 
 
 def test_abelgroup_normalization():

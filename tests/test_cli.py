@@ -71,7 +71,9 @@ def test_nucleus_cache(capsys, tmp_path):
 
 @pytest.mark.parametrize("content", [
     '{"group": "', "not json at all", "[]", "",
-    '{"group": "HASH", "states": "ab"}', '{"group": "HASH", "states": [5]}'])
+    '{"group": "HASH", "states": "ab"}', '{"group": "HASH", "states": [5]}',
+    # words under the right hash, with nucleus states missing or extra ones
+    '{"group": "HASH", "states": ["a", "b"]}', '{"group": "HASH", "states": ["a", "b", "aa"]}'])
 def test_bad_nucleus_cache_is_recomputed(capsys, tmp_path, content):
     group = resolve_group("basilica")
     path = tmp_path / "basilica.group"
@@ -85,6 +87,17 @@ def test_bad_nucleus_cache_is_recomputed(capsys, tmp_path, content):
     assert json.loads(cache.read_text()) == json.loads(fresh)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "basilica.group", "basilica.group.nucleus.json"]
+
+
+def test_nucleus_cache_load_keeps_the_budget(capsys, tmp_path):
+    path = tmp_path / "basilica.group"
+    path.write_text(resolve_group("basilica").to_text())
+    code, _, _ = run(capsys, "nucleus", str(path))
+    assert code == 0 and (tmp_path / "basilica.group.nucleus.json").exists()
+    tight = ("--budget-states", "4")
+    cached = run(capsys, "nucleus", str(path), *tight)
+    assert cached[0] == 2
+    assert cached == run(capsys, "nucleus", str(path), *tight, "--no-cache")
 
 
 def test_interrupted_cache_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):

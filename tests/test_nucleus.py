@@ -215,3 +215,24 @@ def test_nucleus_cache_roundtrip(grigorchuk_nucleus):
     again = Nucleus.from_json(grigorchuk_nucleus.group, data)
     assert [str(r) for r in again.reps] == [str(r) for r in grigorchuk_nucleus.reps]
     assert again.sections == grigorchuk_nucleus.sections
+
+
+@pytest.mark.parametrize("name, forged", [
+    ("adding", [["e"], ["a", "aa"]]),
+    ("basilica", [["e"], ["a", "b"]]),
+    ("grigorchuk", [["a"], ["a", "b", "c", "d", "ab"]]),
+    ("kneading:000", [["a", "b", "c", "d"],
+                      ["a", "b", "c", "d", "Ab", "Ac", "Ad", "Bc", "Bd", "Cd", "abc"]])])
+def test_nucleus_cache_loads_only_the_nucleus(name, forged):
+    """States missing or extra states under the right hash are refused.
+    The check reads the machine's tables only, so a load into a fresh
+    group interns no product: its machine holds just the nucleus."""
+    from selfsim.nucleus import Nucleus
+
+    data = compute_nucleus(resolve_group(name)).to_json()
+    group = resolve_group(name)
+    assert Nucleus.from_json(group, data).to_json() == data
+    assert len(group.machine) == len(data["states"])
+    for states in forged:
+        with pytest.raises(ValueError, match="not the nucleus"):
+            Nucleus.from_json(resolve_group(name), dict(data, states=states))
