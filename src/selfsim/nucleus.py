@@ -26,12 +26,18 @@ class Budget:
 
 
 class NotContractingError(Exception):
-    """The closure did not stabilize within the budget."""
+    """The closure did not stabilize within the budget.  `rounds` holds the
+    candidate count after each finished round, starting set first."""
 
-    def __init__(self, budget: Budget, detail: str = ""):
+    def __init__(self, budget: Budget, detail: str = "", rounds: tuple[int, ...] = ()):
         self.budget = budget
+        self.rounds = tuple(rounds)
         msg = f"not contracting within budget {budget}"
-        super().__init__(msg + (f": {detail}" if detail else ""))
+        if detail:
+            msg += f": {detail}"
+        if rounds:
+            msg += f" after rounds of {', '.join(map(str, rounds))} candidates"
+        super().__init__(msg)
 
 
 class Nucleus:
@@ -39,7 +45,8 @@ class Nucleus:
 
     States are indexed 0..size-1 in order of (representative length,
     representative string); per-state data: level-one permutation, section
-    table, inverse table, shortest known representative word.
+    table, inverse table, shortest known representative word.  `index`
+    maps a machine state id to its index.
     """
 
     def __init__(self, group: GroupDef, state_ids):
@@ -47,7 +54,7 @@ class Nucleus:
         order = sorted(state_ids, key=lambda s: (len(machine.reps[s]), str(machine.reps[s])))
         self.group = group
         self.ids = tuple(order)
-        index = {sid: i for i, sid in enumerate(order)}
+        self.index = index = {sid: i for i, sid in enumerate(order)}
         self.reps = tuple(machine.reps[sid] for sid in order)
         self.perms: tuple[Perm, ...] = tuple(machine.perms[sid] for sid in order)
         for sid in order:
@@ -82,11 +89,7 @@ class Nucleus:
 
     def index_of(self, word: GenWord, **kw) -> int | None:
         """Index of the state of a word, or None when it lies outside."""
-        sid = self.group.machine.intern(word, **kw)
-        try:
-            return self.ids.index(sid)
-        except ValueError:
-            return None
+        return self.index.get(self.group.machine.intern(word, **kw))
 
     def to_json(self) -> dict:
         return {
@@ -221,17 +224,20 @@ def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
 
     Raises NotContractingError when the state or depth budget runs out;
     that verdict is always "not contracting within budget", the property
-    itself is only semi-decidable.
+    itself is only semi-decidable.  It reports the candidate count after
+    each finished round.
     """
     machine = group.machine
     kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
+    rounds: list[int] = []
     try:
         roots = {machine.identity, *_generator_states(group, **kw)}
         current = machine.reachable(roots)
         done: set[tuple[int, int]] = set()
         while True:
+            rounds.append(len(current))
             if len(current) > budget.max_states:
-                raise NotContractingError(budget, f"{len(current)} states and growing")
+                raise NotContractingError(budget, f"{len(current)} states and growing", rounds)
             added: set[int] = set()
             for g, h in product(sorted(current), sorted(current)):
                 if (g, h) in done:
@@ -246,7 +252,7 @@ def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
                 break
             current |= added
     except BudgetExceeded as exc:
-        raise NotContractingError(budget, str(exc)) from None
+        raise NotContractingError(budget, str(exc), rounds) from None
     return Nucleus(group, current)
 
 

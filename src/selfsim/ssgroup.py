@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .words import Word
@@ -192,8 +193,6 @@ class GenWord:
 
 
 IDENTITY = GenWord()
-
-_FINGERPRINT_LIMIT = 256
 
 
 class Verdict(NamedTuple):
@@ -461,8 +460,14 @@ class Machine:
 
     Two elements receive the same state id exactly when they are bisimilar
     (same level-one permutation, pairwise bisimilar sections), i.e. when
-    they act identically on the whole tree.  Section lookup on interned
-    states is a tuple index.
+    they act identically on the whole tree, so the states form a minimal
+    automaton.  Section lookup on interned states is a tuple index.
+
+    A cluster is a strongly connected piece of the section graph; once
+    built it never changes.  Its ids are consecutive and its sections
+    outside it point to older states.  One registry keys every cluster by
+    its rows (permutation, section ids), sorted, with the sections inside
+    the cluster blanked: for a state on no cycle that is its own row.
     """
 
     def __init__(self, group: GroupDef):
@@ -471,7 +476,8 @@ class Machine:
         self.kids: list[tuple[int, ...]] = []
         self.reps: list[GenWord] = []
         self._by_word: dict[str, int] = {}
-        self._by_shape: dict[tuple, int] = {}
+        self._clusters: dict[tuple, tuple[int, ...]] = {}  # key -> first ids
+        self._cycle: list[range | None] = []  # cyclic cluster of each state
         self._inverses: dict[int, int] = {}
         self._products: dict[tuple[int, int], int] = {}
         self.identity = self.intern(IDENTITY)
@@ -479,9 +485,11 @@ class Machine:
     def __len__(self):
         return len(self.perms)
 
-    # closure of one word, then joint bisimulation refinement against all
-    # existing states, then fingerprint lookup so that clusters bisimilar to
-    # states never reachable from this word are still identified.
+    # Collect the word's unknown section words, then settle their graph one
+    # strongly connected component at a time, descendants first, so that
+    # every section leaving a component already has its state.  The work
+    # grows with the new words and the clusters they point into, not with
+    # the machine.
     def intern(self, word: GenWord, max_states: int = 100_000,
                max_depth: int = 512) -> int:
         word = self.group.word(word)
@@ -489,7 +497,6 @@ class Machine:
         hit = self._by_word.get(key)
         if hit is not None:
             return hit
-        d = self.group.d
 
         unknown: dict[str, tuple[Perm, list[tuple[str, object]]]] = {}
         wordof: dict[str, GenWord] = {}
@@ -516,132 +523,134 @@ class Machine:
             unknown[ckey] = (perm, refs)
             wordof[ckey] = cur
 
-        frozen: set[int] = set()
-        stack = [sid for (_, refs) in unknown.values() for k, sid in refs if k == "s"]
-        while stack:
-            sid = stack.pop()
-            if sid in frozen:
-                continue
-            frozen.add(sid)
-            stack.extend(self.kids[sid])
+        first = len(self.perms)
+        state: dict[str, int] = {}
+        for scc in _tarjan_sccs(unknown, lambda w: (r for k, r in unknown[w][1] if k == "w")):
+            self._settle(scc, unknown, state)
+        if len(self.perms) > first:
+            self._renumber(first, state[key], state)
+            # a new state's rep: the shortest, then least, word met for it
+            best: dict[int, str] = {}
+            for wkey, sid in state.items():
+                if sid >= first:
+                    old = best.get(sid)
+                    if old is None or (len(wordof[wkey]), wkey) < (len(wordof[old]), old):
+                        best[sid] = wkey
+            for sid, wkey in best.items():
+                self.reps[sid] = wordof[wkey]
+        self._by_word.update(state)
+        return state[key]
 
-        nodes: list[tuple[str, object]] = [("w", w) for w in unknown]
-        nodes.extend(("s", sid) for sid in sorted(frozen))
+    def _settle(self, scc: list[str], unknown: dict, state: dict[str, int]) -> None:
+        """Give each word of one strongly connected component of the word
+        graph its state.
 
-        def node_perm(node):
-            kind, ref = node
-            return unknown[ref][0] if kind == "w" else self.perms[ref]
-
-        def node_children(node):
-            kind, ref = node
-            if kind == "w":
-                return unknown[ref][1]
-            return [("s", k) for k in self.kids[ref]]
-
-        block: dict[tuple[str, object], int] = {}
-        keys = {}
-        for node in nodes:
-            p = node_perm(node)
-            if p not in keys:
-                keys[p] = len(keys)
-            block[node] = keys[p]
-        nblocks = len(keys)
-        while True:
-            sigs: dict[tuple, int] = {}
-            newblock = {}
-            for node in nodes:
-                sig = (block[node], tuple(block[c] for c in node_children(node)))
-                if sig not in sigs:
-                    sigs[sig] = len(sigs)
-                newblock[node] = sigs[sig]
-            block = newblock
-            if len(sigs) == nblocks:
-                break
-            nblocks = len(sigs)
-
-        members: dict[int, list] = {}
-        for node in nodes:
-            members.setdefault(block[node], []).append(node)
-        resolved: dict[int, int] = {}
-        for b, mem in members.items():
-            ids = [ref for kind, ref in mem if kind == "s"]
-            if ids:
-                assert len(ids) == 1, "interned states must be pairwise distinct"
-                resolved[b] = ids[0]
-
-        child_block = {
-            b: tuple(block[c] for c in node_children(mem[0]))
-            for b, mem in members.items()
-        }
-        block_perm = {b: node_perm(mem[0]) for b, mem in members.items()}
-
-        self._resolve_fresh(members, child_block, block_perm, resolved, wordof)
-
-        for wkey in unknown:
-            self._by_word[wkey] = resolved[block[("w", wkey)]]
-        return self._by_word[key]
-
-    def _resolve_fresh(self, members, child_block, block_perm, resolved, wordof):
-        """Allocate ids for blocks without an existing state, identifying
-        whole strongly connected clusters against previously built states.
-
-        Clusters are processed children-first, so a fingerprint encodes
-        in-cluster nodes by canonical visit order and everything below by
-        its already-resolved id; equal fingerprints then mean bisimilar.
+        The component is reduced by bisimulation to blocks, then looked up
+        whole: first in the cyclic clusters it points into, then among the
+        registered clusters of its key; failing both, its blocks are new.
+        A cluster it points into is the one match its key misses: the
+        component then unrolls part of that very cluster, e.g. the word aa
+        or the cycle bb -> cc -> dd -> bb in the Grigorchuk group, all
+        bisimilar to the identity.
         """
-        fresh = [b for b in members if b not in resolved]
-        if not fresh:
+        inside = set(scc)
+        rows = {}
+        for w in scc:
+            perm, refs = unknown[w]
+            rows[w] = (perm, [r if k == "s" or r in inside else state[r] for k, r in refs])
+        labels: dict[Perm, int] = {}
+        block = {w: labels.setdefault(rows[w][0], len(labels)) for w in scc}
+        count = len(labels)
+        while len(scc) > 1:  # refine by sections; one word is one block
+            sigs: dict[tuple, int] = {}
+            block = {w: sigs.setdefault((block[w], tuple(~block[k] if k in block else k
+                                                          for k in rows[w][1])), len(sigs))
+                     for w in scc}
+            if len(sigs) == count:
+                break
+            count = len(sigs)
+        # blocks as rows of would-be states n, n + 1, ..., numbered by first word
+        n = len(self.perms)
+        q: list = [None] * count
+        for w in scc:
+            j = block[w]
+            if q[j] is None:
+                perm, kids = rows[w]
+                q[j] = (perm, tuple(n + block[k] if k in block else k for k in kids))
+        touched = {c for _, kids in q for k in kids if k < n and (c := self._cycle[k])}
+        ckey = _cluster_key(q, n)
+        registered = (range(s, s + count) for s in self._clusters.get(ckey, ()))
+        for t in chain.from_iterable(chain(touched, registered)):
+            image = self._walk(q, n, t)
+            if image is not None:
+                break
+        else:
+            image = self._add(q, ckey)
+        for w in scc:
+            state[w] = image[block[w]]
+
+    def _walk(self, q: list, n: int, t: int) -> list[int] | None:
+        """Parallel walk from block 0 and state t that maps each block's
+        section blocks onto the state's sections; the image when every row
+        agrees, None at the first mismatch."""
+        image: list = [None] * len(q)
+        image[0] = t
+        todo = [0]
+        while todo:
+            j = todo.pop()
+            perm, kids = q[j]
+            s = image[j]
+            if perm != self.perms[s]:
+                return None
+            for k, sk in zip(kids, self.kids[s]):
+                if k >= n and image[k - n] is None:
+                    image[k - n] = sk
+                    todo.append(k - n)
+                elif (image[k - n] if k >= n else k) != sk:
+                    return None
+        return image
+
+    def _add(self, q: list, ckey: tuple) -> range:
+        """Append the rows `q` as a new cluster and register it."""
+        n = len(self.perms)
+        self._clusters[ckey] = self._clusters.get(ckey, ()) + (n,)
+        ids = range(n, n + len(q))
+        cycle = ids if len(q) > 1 or any(k >= n for k in q[0][1]) else None
+        for perm, kids in q:
+            self.perms.append(perm)
+            self.kids.append(kids)
+            self.reps.append(None)
+            self._cycle.append(cycle)
+        return ids
+
+    def _renumber(self, first: int, root: int, state: dict[str, int]) -> None:
+        """Number the states added since `first` in the order Tarjan's
+        algorithm emits them from `root`, following sections in letter
+        order.  The numbering then depends on the new states alone, not on
+        how the section words happened to unroll their cycles; ids fix the
+        order in which `compute_nucleus` multiplies states, and so which
+        words become reps and where a budget runs out."""
+        sccs = _tarjan_sccs([root], lambda s: (k for k in self.kids[s] if k >= first))
+        order = [s for scc in sccs for s in scc]
+        if order == list(range(first, len(self.perms))):
             return
-        fresh_set = set(fresh)
-        sccs = _tarjan_sccs(fresh_set,
-                            lambda b: (c for c in child_block[b] if c in fresh_set))
-
-        def cluster_fp(root: int, scc: set[int]) -> tuple:
-            order = {root: 0}
-            bfs = deque([root])
-            rows = []
-            while bfs:
-                b = bfs.popleft()
-                refs = []
-                for c in child_block[b]:
-                    if c in scc:
-                        if c not in order:
-                            order[c] = len(order)
-                            bfs.append(c)
-                        refs.append(("i", order[c]))
-                    else:
-                        refs.append(("s", resolved[c]))
-                rows.append((block_perm[b], tuple(refs)))
-            return tuple(rows)
-
-        for scc in sccs:  # Tarjan emits descendants before ancestors
-            scc_set = set(scc)
-            # Very large clusters only show up while a non-contracting run
-            # burns through its budget; skipping their (quadratic) cross-call
-            # dedup there cannot flip the budget verdict.
-            if len(scc) <= _FINGERPRINT_LIMIT:
-                fps = {b: cluster_fp(b, scc_set) for b in scc}
-                hits = {b: self._by_shape.get(fps[b]) for b in scc}
-                if all(h is not None for h in hits.values()):
-                    resolved.update(hits)
-                    continue
-                assert all(h is None for h in hits.values()), \
-                    "cluster must resolve as a whole"
+        new = {s: first + i for i, s in enumerate(order)}
+        rows = {s: (self.perms[s], self.kids[s]) for s in order}
+        for scc in sccs:
+            start = min(scc)
+            ckey = _cluster_key([rows[s] for s in range(start, start + len(scc))], start)
+            rest = tuple(s for s in self._clusters[ckey] if s != start)
+            if rest:
+                self._clusters[ckey] = rest
             else:
-                fps = None
-            for b in scc:
-                resolved[b] = len(self.perms)
-                self.perms.append(block_perm[b])
-                self.kids.append(())
-                rep = min(
-                    (wordof[ref] for kind, ref in members[b] if kind == "w"),
-                    key=lambda w: (len(w), str(w)),
-                )
-                self.reps.append(rep)
-            for b in scc:
-                self.kids[resolved[b]] = tuple(resolved[c] for c in child_block[b])
-                if fps is not None:
-                    self._by_shape[fps[b]] = resolved[b]
+                del self._clusters[ckey]
+        for table in (self.perms, self.kids, self.reps, self._cycle):
+            del table[first:]
+        for scc in sccs:
+            q = [(rows[s][0], tuple(new.get(k, k) for k in rows[s][1])) for s in scc]
+            self._add(q, _cluster_key(q, len(self.perms)))
+        for wkey, sid in state.items():
+            state[wkey] = new.get(sid, sid)
 
     def inverse_state(self, sid: int, **kw) -> int:
         hit = self._inverses.get(sid)
@@ -716,6 +725,13 @@ def _tarjan_sccs(nodes, successors):
                         break
                 out.append(scc)
     return out
+
+
+def _cluster_key(rows, first: int) -> tuple:
+    """Registry key of a cluster with ids from `first` on: its rows, sorted,
+    with every section inside the cluster (an id from `first` on) as -1."""
+    return tuple(sorted((perm, tuple(-1 if k >= first else k for k in kids))
+                        for perm, kids in rows))
 
 
 def parse_group(text: str, name: str | None = None) -> GroupDef:

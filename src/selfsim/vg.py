@@ -260,7 +260,7 @@ class Table:
             try:
                 sid = machine.intern(g, max_states=budget.max_states,
                                      max_depth=budget.max_depth)
-                if sid in nucleus.ids:
+                if sid in nucleus.index:
                     g = machine.reps[sid]
             except BudgetExceeded:
                 pass

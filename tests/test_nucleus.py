@@ -51,6 +51,19 @@ def test_lamplighter_not_contracting():
         compute_nucleus(group)
 
 
+def test_lamplighter_verdict_lists_its_rounds():
+    with pytest.raises(NotContractingError) as info:
+        compute_nucleus(parse_group(LAMPLIGHTER))
+    rounds = info.value.rounds
+    # the starting set, then every finished round, each larger than the last
+    assert len(rounds) >= 3
+    assert all(a < b for a, b in zip(rounds, rounds[1:]))
+    assert rounds[-1] <= Budget().max_states
+    message = str(info.value)
+    assert message.startswith("not contracting within budget")
+    assert message.endswith(f" after rounds of {', '.join(map(str, rounds))} candidates")
+
+
 def test_lamplighter_oracle_grows():
     group = parse_group(LAMPLIGHTER)
     with pytest.raises(oracles.OracleBudget):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from selfsim import resolve_group
-from selfsim.ssgroup import GenWord, GroupDef, parse_group
+from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef, parse_group
 from selfsim.words import parse_word
 
 
@@ -273,3 +273,69 @@ def test_perm_on_level_matches_oracle(group_and_factors, n):
     index = {v: i for i, v in enumerate(words)}
     expect = tuple(index[oracles.apply_word(group, factors, v)] for v in words)
     assert group.perm_on_level(GenWord(factors), n) == expect
+
+
+LAMPLIGHTER = "alphabet: 2\na = (0 1)(a, b)\nb = ()(a, b)\n"
+MACHINE_GROUPS = ["grigorchuk", "basilica", "kneading:000", "kneading:0101",
+                  TERNARY_ODOMETER, LAMPLIGHTER]
+
+_MACHINE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("word"),
+              st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, -1))), max_size=12)),
+    st.tuples(st.just("product"), st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("inverse"), st.integers(0, 10**6)),
+), min_size=1, max_size=40)
+
+
+def _state_signature(machine, sid, level):
+    """Images of the level's words under a state, read off the machine's
+    tables in the order `oracles.signature` lists them."""
+    out = []
+
+    def walk(prefix, s, depth):
+        if depth == level:
+            out.append(prefix)
+            return
+        for x in range(len(machine.perms[s])):
+            walk(prefix + (machine.perms[s][x],), machine.kids[s][x], depth + 1)
+
+    walk((), sid, 0)
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MACHINE_GROUPS), _MACHINE_OPS)
+def test_machine_stays_minimal_and_correct(spec, ops):
+    """Words, products and inverses interned in any order leave the machine
+    minimal (no two states bisimilar), every state acting on level 8 as the
+    words interned to it do, and every rep interning back to its state."""
+    group = parse_group(spec) if spec.startswith("alphabet") else resolve_group(spec)
+    m = group.machine
+    gens = group.generators
+    interned = []
+    for op in ops:
+        try:
+            if op[0] == "word":
+                w = GenWord([(gens[i % len(gens)], e) for i, e in op[1]])
+                interned.append((w, m.intern(w, max_states=300)))
+            elif op[0] == "product":
+                s, t = op[1] % len(m), op[2] % len(m)
+                interned.append((m.reps[s] * m.reps[t], m.product_state(s, t, max_states=300)))
+            else:
+                s = op[1] % len(m)
+                interned.append((m.reps[s].inverse(), m.inverse_state(s, max_states=300)))
+        except BudgetExceeded:
+            pass
+    block, count = list(m.perms), None
+    while True:
+        sigs: dict = {}
+        block = [sigs.setdefault((block[s], tuple(block[k] for k in m.kids[s])), len(sigs))
+                 for s in range(len(m))]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    assert count == len(m)
+    for w, sid in interned:
+        assert oracles.signature(group, w.factors, 8) == _state_signature(m, sid, 8), str(w)
+    for sid, rep in enumerate(m.reps):
+        assert m.intern(rep) == sid
