@@ -9,16 +9,22 @@ be reached backwards along every letter; those pairs are folded into the
 vertex classes, the rest become edges.  Dropping the last letter is the
 finite shadow of the shift map and descends to classes.  The action of a
 nucleus state or a generator on a whole level is one `level_permutation`
-walk, read on the lexicographic list of that level's words.
+walk, read on the lexicographic indices of that level's words.
+
+Vertices are those indices throughout: the j-th word of level n is j
+written in base d with n digits, and dropping its last letter gives
+j // d.  Digit-string labels are built once per level, and only when a
+graph is written out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .nucleus import Nucleus
-from .ssgroup import GenWord, GroupDef, level_permutation
+from .ssgroup import GenWord, GroupDef, check_level, level_permutation
 from .words import Word, format_word
 
 
@@ -54,12 +60,12 @@ def moore_diagram(nucleus: Nucleus) -> MooreDiagram:
     return MooreDiagram(tuple(str(r) for r in nucleus.reps), tuple(edges))
 
 
-def _level_words(d: int, n: int, limit: int) -> list[Word]:
-    """The level-n words in lexicographic order, the order of the indices
-    that `level_permutation` returns."""
-    if n < 0 or d ** n > limit:
-        raise ValueError(f"level {n} must be at least 0 and have at most {limit} vertices")
-    return list(product(range(d), repeat=n))
+def _labels(d: int, n: int) -> list[str]:
+    """Digit-string labels of the level-n vertices, by index; "e" names the
+    root, as `format_word` does."""
+    if n == 0:
+        return ["e"]
+    return ["".join(p) for p in product([str(x) for x in range(d)], repeat=n)]
 
 
 def _moves(nucleus: Nucleus, states, n: int, limit: int):
@@ -73,9 +79,9 @@ def _moves(nucleus: Nucleus, states, n: int, limit: int):
                 yield j, k
 
 
-def _roots(n: int, pairs) -> list[int]:
-    """Union-find over 0..n-1 joined along the index pairs; the
-    representative of each element's component."""
+def _components(n: int, pairs) -> list[int]:
+    """Union-find over 0..n-1 joined along the index pairs; the component
+    of each element, numbered in order of their least elements."""
     parent = list(range(n))
 
     def find(i):
@@ -86,13 +92,16 @@ def _roots(n: int, pairs) -> list[int]:
 
     for i, j in pairs:
         parent[find(i)] = find(j)
-    return [find(i) for i in range(n)]
+    number: dict[int, int] = {}
+    return [number.setdefault(find(i), len(number)) for i in range(n)]
 
 
 def level_identifications(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> set[tuple[Word, Word]]:
     """Unordered pairs of distinct level-n words carried into each other by
     a nontrivial nucleus state."""
-    words = _level_words(nucleus.group.d, n, limit)
+    d = nucleus.group.d
+    check_level(d, n, limit)
+    words = list(product(range(d), repeat=n))  # by index
     states = (i for i in nucleus if i != nucleus.identity_index)
     return {(words[min(j, k)], words[max(j, k)]) for j, k in _moves(nucleus, states, n, limit)}
 
@@ -119,27 +128,45 @@ def cylinder_stable_states(nucleus: Nucleus) -> set[int]:
 
 @dataclass(frozen=True)
 class LevelQuotient:
-    """Level-n model of the limit space: classes of words (fused along
+    """Level-n model of the limit space: classes of vertices (fused along
     cylinder-stable identifications), touching edges between classes, and
-    the shift into the level below."""
+    the shift into the level below.  Classes are numbered by their least
+    vertex."""
 
     level: int
-    blocks: tuple[tuple[Word, ...], ...]
+    d: int
+    vertex_class: tuple[int, ...]  # class of each vertex index
     edges: frozenset[tuple[int, int]]
-    shift: tuple[int, ...] | None  # block index at level n-1
+    shift: tuple[int, ...] | None  # class index at level n-1
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Each class's vertex indices, ascending."""
+        classes: list[list[int]] = [[] for _ in range(max(self.vertex_class) + 1)]
+        for j, c in enumerate(self.vertex_class):
+            classes[c].append(j)
+        return tuple(map(tuple, classes))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[Word, ...], ...]:
+        """The classes as tuples of level-n words."""
+        words = list(product(range(self.d), repeat=self.level))
+        return tuple(tuple(words[j] for j in cls) for cls in self.classes)
 
     def class_of(self, word: Word) -> int:
         word = tuple(word)
-        for i, block in enumerate(self.blocks):
-            if word in block:
-                return i
-        raise KeyError(format_word(word))
+        if len(word) != self.level or not all(x in range(self.d) for x in word):
+            raise KeyError(format_word(word))
+        j = 0
+        for x in word:
+            j = j * self.d + x
+        return self.vertex_class[j]
 
     def is_connected(self) -> bool:
-        return len(set(_roots(len(self.blocks), self.edges))) <= 1
+        return len(set(_components(len(self.classes), self.edges))) <= 1
 
     def degree_sequence(self) -> list[int]:
-        deg = [0] * len(self.blocks)
+        deg = [0] * len(self.classes)
         for i, j in self.edges:
             deg[i] += 1
             deg[j] += 1
@@ -147,34 +174,36 @@ class LevelQuotient:
 
     def is_cycle(self) -> bool:
         return (
-            len(self.edges) == len(self.blocks)
+            len(self.edges) == len(self.classes)
             and self.is_connected()
             and all(d == 2 for d in self.degree_sequence())
         )
 
     def is_path(self) -> bool:
-        if len(self.blocks) == 1:
+        if len(self.classes) == 1:
             return not self.edges
         deg = self.degree_sequence()
         return (
-            len(self.edges) == len(self.blocks) - 1
+            len(self.edges) == len(self.classes) - 1
             and self.is_connected()
             and sorted(deg)[:2] == [1, 1]
             and all(d <= 2 for d in deg)
         )
 
     def to_json(self) -> dict:
+        names = _labels(self.d, self.level)
         return {
             "level": self.level,
-            "classes": [[format_word(w) for w in block] for block in self.blocks],
+            "classes": [[names[j] for j in cls] for cls in self.classes],
             "edges": sorted([i, j] for i, j in self.edges),
             "shift": list(self.shift) if self.shift is not None else None,
         }
 
     def to_dot(self) -> str:
+        names = _labels(self.d, self.level)
         lines = ["graph levelquotient {"]
-        for i, block in enumerate(self.blocks):
-            label = ",".join(format_word(w) for w in block)
+        for i, cls in enumerate(self.classes):
+            label = ",".join(names[j] for j in cls)
             lines.append(f'  n{i} [label="{label}"];')
         for i, j in sorted(self.edges):
             lines.append(f"  n{i} -- n{j};")
@@ -182,87 +211,75 @@ class LevelQuotient:
         return "\n".join(lines)
 
 
-def _level_blocks(nucleus: Nucleus, n: int, stable: set[int], limit: int) -> tuple[tuple[Word, ...], ...]:
-    """Level-n words fused along the cylinder-stable states, each class
-    sorted and the classes ordered by their least word."""
-    words = _level_words(nucleus.group.d, n, limit)
-    roots = _roots(len(words), _moves(nucleus, stable, n, limit))
-    block_words: dict[int, list[Word]] = {}
-    for root, v in zip(roots, words):
-        block_words.setdefault(root, []).append(v)
-    return tuple(
-        tuple(sorted(ws)) for ws in sorted(block_words.values(), key=lambda ws: min(ws))
-    )
-
-
 def quotient_graph(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> LevelQuotient:
     """Classes, touching edges, and the shift map at level n."""
+    d = nucleus.group.d
+    check_level(d, n, limit)
     stable = cylinder_stable_states(nucleus) - {nucleus.identity_index}
-    blocks = _level_blocks(nucleus, n, stable, limit)
-    block_of = {w: i for i, ws in enumerate(blocks) for w in ws}
+    vertex_class = _components(d ** n, _moves(nucleus, stable, n, limit))
 
-    edges = set()
-    for v, u in level_identifications(nucleus, n, limit):
-        bi, bj = block_of[v], block_of[u]
-        if bi != bj:
-            edges.add((min(bi, bj), max(bi, bj)))
+    states = (i for i in nucleus if i != nucleus.identity_index)
+    edges = {(a, b) if a < b else (b, a) for j, k in _moves(nucleus, states, n, limit)
+             if (a := vertex_class[j]) != (b := vertex_class[k])}
 
     shift = None
     if n >= 1:
-        prev_block = {w: i for i, ws in enumerate(_level_blocks(nucleus, n - 1, stable, limit))
-                      for w in ws}
-        targets = []
-        for ws in blocks:
-            hits = {prev_block[w[:-1]] for w in ws}
-            if len(hits) != 1:
-                raise AssertionError("shift does not descend to classes")
-            targets.append(hits.pop())
-        shift = tuple(targets)
-    return LevelQuotient(n, blocks, frozenset(edges), shift)
+        prev_class = _components(d ** (n - 1), _moves(nucleus, stable, n - 1, limit))
+        hits = set(zip(vertex_class, [prev_class[j // d] for j in range(d ** n)]))
+        if len(hits) != max(vertex_class) + 1:  # one target per class
+            raise AssertionError("shift does not descend to classes")
+        shift = tuple(t for _, t in sorted(hits))
+    return LevelQuotient(n, d, tuple(vertex_class), frozenset(edges), shift)
 
 
 @dataclass(frozen=True)
 class SchreierGraph:
-    """Level-n orbit graph: words connected by generator moves."""
+    """Level-n orbit graph.  Vertices are the lexicographic indices of the
+    level-n words, and each edge (j, k), j < k, is labelled with the sorted
+    names of the generators that carry one end to the other.  Digit-string
+    labels are built only by `to_json` and `to_dot`."""
 
     level: int
-    vertices: tuple[Word, ...]
-    edges: frozenset[tuple[Word, Word]]
-    labels: dict  # edge -> sorted generator names
+    d: int
+    labels: dict[tuple[int, int], list[str]]
+
+    @property
+    def vertices(self) -> range:
+        return range(self.d ** self.level)
+
+    @property
+    def edges(self):
+        return self.labels.keys()
 
     def is_connected(self) -> bool:
-        index = {v: i for i, v in enumerate(self.vertices)}
-        pairs = ((index[v], index[u]) for v, u in self.edges)
-        return len(set(_roots(len(self.vertices), pairs))) <= 1
+        return len(set(_components(len(self.vertices), self.edges))) <= 1
 
     def to_json(self) -> dict:
+        names = _labels(self.d, self.level)
         return {
             "level": self.level,
-            "vertices": [format_word(v) for v in self.vertices],
-            "edges": [
-                [format_word(v), format_word(u), self.labels[(v, u)]]
-                for v, u in sorted(self.edges)
-            ],
+            "vertices": names,
+            "edges": [[names[j], names[k], self.labels[(j, k)]] for j, k in sorted(self.labels)],
         }
 
     def to_dot(self) -> str:
+        names = _labels(self.d, self.level)
         lines = ["graph schreier {"]
-        for v in self.vertices:
-            lines.append(f'  "{format_word(v)}";')
-        for v, u in sorted(self.edges):
-            label = ",".join(self.labels[(v, u)])
-            lines.append(f'  "{format_word(v)}" -- "{format_word(u)}" [label="{label}"];')
+        lines.extend(f'  "{name}";' for name in names)
+        for j, k in sorted(self.labels):
+            label = ",".join(self.labels[(j, k)])
+            lines.append(f'  "{names[j]}" -- "{names[k]}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
 
 def schreier_graph(group: GroupDef, n: int, limit: int = 1 << 20) -> SchreierGraph:
-    """Vertices are the level-n words, one edge per generator move."""
-    words = _level_words(group.d, n, limit)
-    labels: dict[tuple[Word, Word], set[str]] = {}
-    for sym in group.generators:
-        for j, k in enumerate(group.perm_on_level(GenWord([(sym, 1)]), n, limit)):
-            if j != k:
-                labels.setdefault((words[min(j, k)], words[max(j, k)]), set()).add(sym)
-    return SchreierGraph(n, tuple(words), frozenset(labels),
-                         {k: sorted(v) for k, v in labels.items()})
+    """One edge per pair of level-n vertices that a generator moves into
+    each other."""
+    check_level(group.d, n, limit)
+    labels: dict[tuple[int, int], list[str]] = {}
+    for sym in sorted(group.generators):
+        perm = group.perm_on_level(GenWord([(sym, 1)]), n, limit)
+        for edge in {(j, k) if j < k else (k, j) for j, k in enumerate(perm) if j != k}:
+            labels.setdefault(edge, []).append(sym)
+    return SchreierGraph(n, group.d, labels)

@@ -98,24 +98,29 @@ def perm_parity(perm: Iterable[int]) -> int:
     return parity
 
 
+def check_level(d: int, n: int, limit: int) -> None:
+    """Raise ValueError unless level n of the d-ary tree exists and has at
+    most `limit` vertices.  A level past the bit length of `limit` is
+    rejected before d ** n is built, so a huge n fails at once."""
+    if n < 0 or n > limit.bit_length() or d ** n > limit:
+        raise ValueError(f"level {n} must be at least 0 and have at most {limit} vertices")
+
+
 def level_permutation(step, root, d: int, n: int, limit: int = 1 << 20) -> Perm:
     """Level-n permutation, on lexicographic indices, of the automaton state
     `root`; `step(state)` gives a state's first-level permutation and its
     sections.  The walk goes down one level at a time carrying each vertex's
     image index and state, and calls `step` once per distinct state."""
-    if n < 0 or d ** n > limit:
-        raise ValueError(f"level {n} must be at least 0 and have at most {limit} vertices")
-    steps = {}
+    check_level(d, n, limit)
+    perms, sections = {}, {}
     images, states = [0], [root]
     for _ in range(n):
-        next_images, next_states = [], []
-        for j, s in zip(images, states):
-            if s not in steps:
-                steps[s] = step(s)
-            perm, sections = steps[s]
-            next_images.extend(j * d + y for y in perm)
-            next_states.extend(sections)
-        images, states = next_images, next_states
+        for s in dict.fromkeys(states):
+            if s not in perms:
+                perms[s], sections[s] = step(s)
+        images = [j * d + y for j, perm in zip(images, map(perms.__getitem__, states))
+                  for y in perm]
+        states = list(chain.from_iterable(map(sections.__getitem__, states)))
     return tuple(images)
 
 
@@ -393,8 +398,18 @@ class GroupDef:
 
     def perm_on_level(self, word: GenWord, n: int, limit: int = 1 << 20) -> Perm:
         """Permutation of the n-th level, on lexicographic indices; one
-        `level_permutation` walk that folds each distinct section once."""
-        return level_permutation(self.wreath, word, self.d, n, limit)
+        `level_permutation` walk that folds each distinct section once.  The
+        walk's states are factor tuples, which hash and compare in C; `words`
+        maps each back to the section word `wreath` folds."""
+        words = {word.factors: word}
+
+        def step(factors):
+            perm, sections = self.wreath(words[factors])
+            for sec in sections:
+                words.setdefault(sec.factors, sec)
+            return perm, tuple(sec.factors for sec in sections)
+
+        return level_permutation(step, word.factors, self.d, n, limit)
 
     # -- the word problem --------------------------------------------------
 

@@ -254,3 +254,21 @@ def test_duplicate_generator_rejected(capsys, tmp_path):
     code, out, err = run(capsys, "nucleus", str(path), "--no-cache")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "defined twice" in err
+
+
+def test_repeated_calls_share_no_state(capsys):
+    """One parser serves every call in a process: a flag, a usage error or
+    a command of one call never shows in the next."""
+    code, out, _ = run(capsys, "nucleus", "adding", "--json")
+    assert code == 0 and json.loads(out)["states"]
+    code, out, err = run(capsys, "nucleus", "adding", "--no-such-flag")
+    assert code == 1 and out == "" and "usage" in err
+    code, out, _ = run(capsys, "nucleus", "adding")
+    assert code == 0 and out.startswith("nucleus of adding: 3 states")
+
+
+def test_huge_level_fails_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "schreier", "adding", "--level", str(10 ** 12))
+    assert code == 1 and out == "" and err.startswith("error: level")
+    assert time.perf_counter() - start < 1.0

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 from pathlib import Path
 
@@ -173,6 +174,34 @@ def test_level_limit_errors(adding_nucleus, trivial2):
         for group in (adding_nucleus.group, trivial2):
             with pytest.raises(ValueError):
                 is_level_transitive(group, n, limit=1000)
+
+
+def test_huge_levels_fail_at_once(adding_nucleus, trivial2):
+    """A level far past the vertex limit is refused before d ** n is built."""
+    n = 10 ** 12
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        quotient_graph(adding_nucleus, n)
+    with pytest.raises(ValueError):
+        schreier_graph(adding_nucleus.group, n)
+    for group in (adding_nucleus.group, trivial2):
+        with pytest.raises(ValueError):
+            is_level_transitive(group, n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_class_of(basilica_nucleus):
+    flip = compute_nucleus(parse_group("alphabet: 2\na = (0 1)(a, a)\n"))
+    for nucleus in (basilica_nucleus, flip, compute_nucleus(resolve_group(ODOMETER3_FILE))):
+        for n in range(4):
+            q = quotient_graph(nucleus, n)
+            for i, block in enumerate(q.blocks):
+                assert all(q.class_of(w) == i for w in block)
+                assert all(q.class_of(list(w)) == i for w in block)
+            d = nucleus.group.d
+            for bad in [(0,) * (n + 1), (d,) * n if n else (0,), ("0",) * n if n else (1,)]:
+                with pytest.raises(KeyError):
+                    q.class_of(bad)
 
 
 @pytest.mark.parametrize("name", ["adding", "basilica", "grigorchuk", ODOMETER3_FILE])
