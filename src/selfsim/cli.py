@@ -8,7 +8,6 @@ undecided or a budget ran out.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -234,10 +233,7 @@ def cmd_m_invariant(args) -> None:
     print(m_invariant(ac.words, args.alphabet))
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later `main` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Self-similar groups, their table groups, and limit spaces",

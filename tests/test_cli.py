@@ -257,8 +257,8 @@ def test_duplicate_generator_rejected(capsys, tmp_path):
 
 
 def test_repeated_calls_share_no_state(capsys):
-    """One parser serves every call in a process: a flag, a usage error or
-    a command of one call never shows in the next."""
+    """Calls in one process are independent: a flag, a usage error or a
+    command of one call never shows in the next."""
     code, out, _ = run(capsys, "nucleus", "adding", "--json")
     assert code == 0 and json.loads(out)["states"]
     code, out, err = run(capsys, "nucleus", "adding", "--no-such-flag")
