@@ -13,7 +13,7 @@ from .words import (
     parse_word,
     prefix_compare,
 )
-from .ssgroup import BudgetExceeded, GenWord, GroupDef, Verdict, parse_group
+from .ssgroup import BudgetExceeded, GenWord, GroupDef, Verdict
 from .catalogue import builtin_groups, kneading_group, resolve_group, trivial_group
 from .nucleus import (
     Budget,

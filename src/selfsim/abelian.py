@@ -14,7 +14,6 @@ finite portrait of a rational map.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -111,17 +110,16 @@ def smith_normal_form(matrix: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return u, m, v
 
 
-def _prime_powers(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _divisibility_chain(diag) -> list[int]:
+    """The diagonal of positive integers `diag` as a divisibility chain
+    d_1 | d_2 | ... of the same length and the same cokernel: gcd and lcm
+    pairs, since Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b)."""
+    diag = list(diag)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
 @dataclass(frozen=True)
@@ -141,24 +139,11 @@ class AbelGroup:
 
     @classmethod
     def from_factors(cls, rank: int, factors) -> "AbelGroup":
-        """Normalize arbitrary torsion factors into invariant-factor form."""
-        per_prime: dict[int, list[int]] = {}
-        for f in factors:
-            if f == 0:
-                rank += 1
-                continue
-            for p, k in _prime_powers(abs(f)).items():
-                per_prime.setdefault(p, []).append(k)
-        width = max((len(v) for v in per_prime.values()), default=0)
-        inv = []
-        for i in range(width):
-            f = 1
-            for p, ks in per_prime.items():
-                ks_sorted = sorted(ks, reverse=True)
-                if i < len(ks_sorted):
-                    f *= p ** ks_sorted[i]
-            inv.append(f)
-        return cls(rank, tuple(sorted(f for f in inv if f > 1)))
+        """Normalize arbitrary torsion factors into invariant-factor form;
+        a factor 0 is one more free summand."""
+        factors = list(factors)
+        chain = _divisibility_chain(abs(f) for f in factors if f)
+        return cls(rank + factors.count(0), tuple(f for f in chain if f > 1))
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.factors
@@ -270,11 +255,7 @@ def cokernel(rows: Matrix, ncols: int) -> AbelGroup:
     rank, minor = _rank_and_minor(rows, ncols)
     if minor == 1:  # every factor is 1; also the case rank 0
         return AbelGroup(ncols - rank)
-    diag = _diagonal_mod(rows, minor)
-    for i in range(len(diag)):  # gcd and lcm pairs turn a diagonal into a chain
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    diag = _divisibility_chain(_diagonal_mod(rows, minor))
     return AbelGroup(ncols - rank, tuple(f for f in diag[:rank] if f > 1))
 
 
@@ -331,23 +312,14 @@ def vg_abelianization(group: GroupDef, relations: Matrix | None = None,
     generators modulo `relations` (default: abelianized nucleus relations of
     length at most 3, which presents the finitely presented cover; the two
     agree whenever no nontrivial nucleus state dies in the faithful
-    action, which holds by construction here).  Even alphabet: cokernel of
+    action, which holds by construction: machine states are bisimulation
+    classes, so only the identity state acts trivially).  Even alphabet: cokernel of
     1 - sigma stacked over the relations.  Odd alphabet: one extra basis
     vector t of order two, with sigma extended by the permutation parity.
     """
     n = len(group.generators)
     if relations is None:
         nucleus = compute_nucleus(group, budget)
-        # the default relations present the quotient exactly only when no
-        # nontrivial nucleus state acts trivially; states are interned by
-        # their action here, so a violation can only mean machinery breakage
-        for i in nucleus:
-            verdict = group.is_trivial(nucleus.reps[i])
-            if (verdict.status == "trivial") != (i == nucleus.identity_index):
-                warnings.warn(
-                    f"nucleus state {nucleus.reps[i]} degenerates in the faithful "
-                    "action; the reported abelianization is the cover's answer"
-                )
         relations = nucleus_relation_rows(group, nucleus)
     else:
         relations = [list(r) for r in relations]

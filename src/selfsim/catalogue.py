@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ssgroup import GenWord, GroupDef, parse_group
+from .ssgroup import GenWord, GroupDef
 
 ADDING_MACHINE = """\
 # binary odometer: adds one with carry
@@ -62,9 +62,9 @@ def trivial_group(d: int) -> GroupDef:
 
 def builtin_groups() -> dict[str, GroupDef]:
     return {
-        "adding": parse_group(ADDING_MACHINE, name="adding"),
-        "basilica": parse_group(BASILICA, name="basilica"),
-        "grigorchuk": parse_group(GRIGORCHUK, name="grigorchuk"),
+        "adding": GroupDef.parse(ADDING_MACHINE, name="adding"),
+        "basilica": GroupDef.parse(BASILICA, name="basilica"),
+        "grigorchuk": GroupDef.parse(GRIGORCHUK, name="grigorchuk"),
     }
 
 
@@ -82,4 +82,4 @@ def resolve_group(spec: str) -> GroupDef:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"unknown group {spec!r} ({exc})") from None
-    return parse_group(text, name=spec)
+    return GroupDef.parse(text, name=spec)

@@ -31,7 +31,7 @@ from .nucleus import (
     is_self_replicating,
 )
 from .presentation import UndecidedError, emit_presentation, verify_relator
-from .ssgroup import GroupDef, perm_to_cycles
+from .ssgroup import BudgetExceeded, GroupDef, perm_to_cycles
 from .vg import Table
 from .words import Antichain, m_invariant, parse_word
 
@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (NotContractingError, UndecidedError, UndecidedExit) as exc:
+    except (NotContractingError, UndecidedError, UndecidedExit, BudgetExceeded) as exc:
         if str(exc):
             print(str(exc), file=sys.stderr)
         return 2

@@ -1,11 +1,12 @@
 """Nucleus computation and structural predicates of contracting groups.
 
 The nucleus is the smallest finite set of elements absorbing all deep
-sections: starting from the section closure of the generators, their
-inverses and the identity, every pairwise product is followed down the
-tree; section states that recur at arbitrarily large depth (they lie on or
-hang off a cycle of the section graph) are adjoined, and the loop runs to
-a fixed point.  Exhausting the state or depth budget yields a bounded
+sections.  Starting from S, the section closure of the generators, their
+inverses and the identity, the candidate set N grows until it absorbs N*S:
+each new candidate is multiplied on the right by S, and the section
+states that recur at arbitrarily large depth in those products (they lie
+on or hang off a cycle of the section graph) are adjoined, until no new
+state appears.  Exhausting the state or depth budget yields a bounded
 "not contracting within budget" verdict, never a theorem.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from itertools import product
 
 from .ssgroup import IDENTITY, BudgetExceeded, GenWord, GroupDef, Perm
 from .words import Word
@@ -219,8 +219,12 @@ def _absorbs(machine, current: set[int], right: set[int]) -> bool:
 
 
 def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
-    """Fixed point of pairwise-product absorption; minimal under the
-    absorption property on every input it terminates on.
+    """Fixed point of absorbing N*S, where S is the section closure of the
+    identity, the generators and their inverses: each round multiplies only
+    the previous round's new states, on the right, by S and adjoins the
+    states that recur arbitrarily deep in those products.  Once N absorbs
+    N*S it holds the deep sections of every element (see `_absorbs`), and
+    since the nucleus is closed under inverses the fixed point is too.
 
     Raises NotContractingError when the state or depth budget runs out;
     that verdict is always "not contracting within budget", the property
@@ -233,24 +237,15 @@ def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
     try:
         roots = {machine.identity, *_generator_states(group, **kw)}
         current = machine.reachable(roots)
-        done: set[tuple[int, int]] = set()
-        while True:
+        right = sorted(current)
+        new = current
+        while new:
             rounds.append(len(current))
             if len(current) > budget.max_states:
                 raise NotContractingError(budget, f"{len(current)} states and growing", rounds)
-            added: set[int] = set()
-            for g, h in product(sorted(current), sorted(current)):
-                if (g, h) in done:
-                    continue
-                done.add((g, h))
-                prod = machine.product_state(g, h, **kw)
-                for s in _persistent_states(machine.kids, [prod], current):
-                    if s not in current and s not in added:
-                        added.add(s)
-                        added |= machine.reachable([machine.inverse_state(s, **kw)]) - current
-            if not added:
-                break
-            current |= added
+            products = [machine.product_state(g, h, **kw) for g in sorted(new) for h in right]
+            new = _persistent_states(machine.kids, products, current)
+            current |= new
     except BudgetExceeded as exc:
         raise NotContractingError(budget, str(exc), rounds) from None
     return Nucleus(group, current)

@@ -420,13 +420,15 @@ class GroupDef:
         first level; the exploration revisits each reduced section word once,
         accepting cycles.  Returns a moved word as witness when nontrivial,
         and "undecided" only if more than `limit` distinct section words
-        were explored without closing.
+        were explored, or a section grew longer than both `limit` and the
+        word, without closing.
         """
         word = self.word(word)
         key = str(word)
         cached = self._triviality.get(key)
         if cached is not None:
             return cached
+        longest = max(limit, len(word))
         seen = {key}
         queue: deque[tuple[GenWord, Word]] = deque([(word, ())])
         while queue:
@@ -441,7 +443,7 @@ class GroupDef:
             for x, sec in enumerate(sections):
                 skey = str(sec)
                 if skey not in seen:
-                    if len(seen) >= limit:
+                    if len(seen) >= limit or len(sec) > longest:
                         return Verdict("undecided")
                     seen.add(skey)
                     queue.append((sec, path + (x,)))
@@ -483,6 +485,8 @@ class Machine:
     outside it point to older states.  One registry keys every cluster by
     its rows (permutation, section ids), sorted, with the sections inside
     the cluster blanked: for a state on no cycle that is its own row.
+    Ids follow the order in which clusters are built; they stay internal,
+    and nothing printed is keyed by them.
     """
 
     def __init__(self, group: GroupDef):
@@ -504,7 +508,9 @@ class Machine:
     # strongly connected component at a time, descendants first, so that
     # every section leaving a component already has its state.  The work
     # grows with the new words and the clusters they point into, not with
-    # the machine.
+    # the machine.  The budget bounds the states, the section depth, and
+    # the length of a section word by the larger of `max_states` and the
+    # word's own length.
     def intern(self, word: GenWord, max_states: int = 100_000,
                max_depth: int = 512) -> int:
         word = self.group.word(word)
@@ -515,6 +521,7 @@ class Machine:
 
         unknown: dict[str, tuple[Perm, list[tuple[str, object]]]] = {}
         wordof: dict[str, GenWord] = {}
+        longest = max(max_states, len(word))
         queue = deque([(word, 0)])
         while queue:
             cur, depth = queue.popleft()
@@ -523,6 +530,8 @@ class Machine:
                 continue
             if depth > max_depth:
                 raise BudgetExceeded(f"section depth exceeded {max_depth}")
+            if len(cur) > longest:
+                raise BudgetExceeded(f"section length exceeded {longest}")
             if len(unknown) + len(self.perms) >= max_states:
                 raise BudgetExceeded(f"state budget {max_states} exhausted")
             perm, sections = self.group.wreath(cur)
@@ -543,7 +552,6 @@ class Machine:
         for scc in _tarjan_sccs(unknown, lambda w: (r for k, r in unknown[w][1] if k == "w")):
             self._settle(scc, unknown, state)
         if len(self.perms) > first:
-            self._renumber(first, state[key], state)
             # a new state's rep: the shortest, then least, word met for it
             best: dict[int, str] = {}
             for wkey, sid in state.items():
@@ -638,35 +646,6 @@ class Machine:
             self._cycle.append(cycle)
         return ids
 
-    def _renumber(self, first: int, root: int, state: dict[str, int]) -> None:
-        """Number the states added since `first` in the order Tarjan's
-        algorithm emits them from `root`, following sections in letter
-        order.  The numbering then depends on the new states alone, not on
-        how the section words happened to unroll their cycles; ids fix the
-        order in which `compute_nucleus` multiplies states, and so which
-        words become reps and where a budget runs out."""
-        sccs = _tarjan_sccs([root], lambda s: (k for k in self.kids[s] if k >= first))
-        order = [s for scc in sccs for s in scc]
-        if order == list(range(first, len(self.perms))):
-            return
-        new = {s: first + i for i, s in enumerate(order)}
-        rows = {s: (self.perms[s], self.kids[s]) for s in order}
-        for scc in sccs:
-            start = min(scc)
-            ckey = _cluster_key([rows[s] for s in range(start, start + len(scc))], start)
-            rest = tuple(s for s in self._clusters[ckey] if s != start)
-            if rest:
-                self._clusters[ckey] = rest
-            else:
-                del self._clusters[ckey]
-        for table in (self.perms, self.kids, self.reps, self._cycle):
-            del table[first:]
-        for scc in sccs:
-            q = [(rows[s][0], tuple(new.get(k, k) for k in rows[s][1])) for s in scc]
-            self._add(q, _cluster_key(q, len(self.perms)))
-        for wkey, sid in state.items():
-            state[wkey] = new.get(sid, sid)
-
     def inverse_state(self, sid: int, **kw) -> int:
         hit = self._inverses.get(sid)
         if hit is None:
@@ -748,7 +727,3 @@ def _cluster_key(rows, first: int) -> tuple:
     return tuple(sorted((perm, tuple(-1 if k >= first else k for k in kids))
                         for perm, kids in rows))
 
-
-def parse_group(text: str, name: str | None = None) -> GroupDef:
-    """Parse the group-definition text format (see GroupDef.parse)."""
-    return GroupDef.parse(text, name=name)

@@ -25,7 +25,7 @@ from selfsim.abelian import (
     vg_abelianization,
 )
 from selfsim.nucleus import NotContractingError, compute_nucleus
-from selfsim.ssgroup import parse_group
+from selfsim.ssgroup import GroupDef
 
 
 def diag(d):
@@ -164,6 +164,14 @@ def test_dense_8x8_cokernels_finish(seed, expected):
     assert got == expected
 
 
+def test_from_factors_of_a_large_prime_finishes():
+    """Factoring by trial division never finished on 2^89 - 1."""
+    p = 2 ** 89 - 1
+    with time_limit(1.0):
+        got = AbelGroup.from_factors(0, [2 * p, p, 4])
+    assert got == AbelGroup(0, (2 * p, 4 * p))
+
+
 def test_dense_40x40_cokernel_is_fast_and_matches_the_determinant():
     m = dense_matrix(40, 40)
     with time_limit(1.0):
@@ -185,6 +193,7 @@ def test_abelgroup_normalization():
     assert AbelGroup.from_factors(1, [2, 4]) == AbelGroup(1, (2, 4))
     assert AbelGroup.from_factors(0, [2, 2]) == AbelGroup(0, (2, 2))
     assert AbelGroup.from_factors(0, [6, 4]) == AbelGroup(0, (2, 12))
+    assert AbelGroup.from_factors(1, [0, -3, 1]) == AbelGroup(2, (3,))
     assert str(AbelGroup(0)) == "trivial group"
     assert str(AbelGroup(1)) == "Z"
     assert str(AbelGroup(2, (2,))) == "Z^2 + Z/2Z"
@@ -202,7 +211,7 @@ def test_sigma_matrix_examples(adding, grigorchuk, basilica):
 
 
 def test_sign_vector():
-    g3 = parse_group("alphabet: 3\na = (0 1 2)(e, e, e)\nb = (0 1)(e, e, e)\nc = ()(e, e, e)\n")
+    g3 = GroupDef.parse("alphabet: 3\na = (0 1 2)(e, e, e)\nb = (0 1)(e, e, e)\nc = ()(e, e, e)\n")
     assert sign_vector(g3) == [0, 1, 0]
     with pytest.raises(ValueError):
         sign_vector(resolve_group("adding"))
@@ -216,7 +225,7 @@ def test_vg_abelianization_examples(adding, grigorchuk):
 
 
 def test_vg_abelianization_not_contracting_propagates():
-    lamp = parse_group("alphabet: 2\na = (0 1)(a, b)\nb = ()(a, b)\n")
+    lamp = GroupDef.parse("alphabet: 2\na = (0 1)(a, b)\nb = ()(a, b)\n")
     with pytest.raises(NotContractingError):
         vg_abelianization(lamp)
 
@@ -231,7 +240,7 @@ def test_vg_abelianization_odd_alphabet():
     # sigma multiplies by 3, the rotation is even, so the cokernel of
     # 1 - sigma on one generator is Z/2Z from the parity summand and
     # Z/(3-1)Z = Z/2Z from 1-3 = -2 on the generator
-    g = parse_group("alphabet: 3\na = (0 1 2)(a, a, a)\n")
+    g = GroupDef.parse("alphabet: 3\na = (0 1 2)(a, a, a)\n")
     got = vg_abelianization(g, relations=[])
     assert got == AbelGroup.from_factors(0, [2, 2])
 

@@ -11,7 +11,7 @@ from itertools import combinations, product
 import pytest
 
 import oracles
-from selfsim import kneading_group, parse_group, resolve_group
+from selfsim import GroupDef, kneading_group, resolve_group
 from selfsim.abelian import (
     AbelGroup,
     PostCriticalData,
@@ -81,7 +81,7 @@ def test_criterion_2_nucleus_sizes():
         sigs = {oracles.signature(group, rep.factors, 10) for rep in nucleus.reps}
         assert sigs == set(brute), name
         assert timings[name] < 5.0, name
-    group = parse_group(LAMPLIGHTER)
+    group = GroupDef.parse(LAMPLIGHTER)
     start = time.perf_counter()
     with pytest.raises(NotContractingError):
         compute_nucleus(group)

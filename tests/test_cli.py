@@ -1,9 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from selfsim import kneading_group, parse_group, resolve_group
+import selfsim
+from selfsim import GroupDef, kneading_group, resolve_group
 from selfsim.abelian import vg_abelianization
 from selfsim.catalogue import builtin_groups
 from selfsim.cli import main
@@ -214,7 +220,7 @@ def test_catalogue_roundtrip(capsys):
     assert len(blocks) == 3
     for block in blocks:
         name, _, text = block.partition("\n")
-        again = parse_group(text)
+        again = GroupDef.parse(text)
         assert again.to_text() == builtin_groups()[name.strip()].to_text()
 
 
@@ -272,3 +278,25 @@ def test_huge_level_fails_at_once(capsys):
     code, out, err = run(capsys, "schreier", "adding", "--level", str(10 ** 12))
     assert code == 1 and out == "" and err.startswith("error: level")
     assert time.perf_counter() - start < 1.0
+
+
+def _capped_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("argv", [["nucleus", "--no-cache"], ["present", "--no-cache"],
+                                  ["limit", "--level", "3", "--no-cache"], ["check"], ["wp", "a"]])
+def test_growing_sections_exit_2(tmp_path, argv):
+    """a = ()(aa, e) is trivial, but its section words double at each level.
+    The budgets must stop that before memory runs out.  The command runs in
+    a child with a capped address space and a timeout, so unbounded growth
+    fails this test instead of exhausting the machine."""
+    path = tmp_path / "doubling.txt"
+    path.write_text("alphabet: 2\na = ()(aa, e)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(selfsim.__file__).parents[1]))
+    command, *rest = argv
+    proc = subprocess.run([sys.executable, "-m", "selfsim.cli", command, str(path), *rest],
+                          capture_output=True, text=True, timeout=30, env=env,
+                          preexec_fn=_capped_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout in ("", "undecided\n") and "Traceback" not in proc.stderr

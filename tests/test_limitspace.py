@@ -14,7 +14,7 @@ from selfsim.limitspace import (
     schreier_graph,
 )
 from selfsim.nucleus import compute_nucleus, is_level_transitive
-from selfsim.ssgroup import parse_group
+from selfsim.ssgroup import GroupDef
 
 ODOMETER3_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer3.txt")
 
@@ -61,7 +61,7 @@ def test_identification_count_bound(grigorchuk_nucleus, basilica_nucleus):
 def test_cylinder_stable_states(adding_nucleus, grigorchuk_nucleus):
     assert cylinder_stable_states(adding_nucleus) == {adding_nucleus.identity_index}
     assert cylinder_stable_states(grigorchuk_nucleus) == {grigorchuk_nucleus.identity_index}
-    flip = parse_group("alphabet: 2\na = (0 1)(a, a)\n")
+    flip = GroupDef.parse("alphabet: 2\na = (0 1)(a, a)\n")
     fnuc = compute_nucleus(flip)
     assert cylinder_stable_states(fnuc) == set(range(len(fnuc)))
 
@@ -91,7 +91,7 @@ def test_quotient_graph_trivial(trivial2):
 
 
 def test_quotient_graph_fused_classes():
-    flip = parse_group("alphabet: 2\na = (0 1)(a, a)\n")
+    flip = GroupDef.parse("alphabet: 2\na = (0 1)(a, a)\n")
     nucleus = compute_nucleus(flip)
     q = quotient_graph(nucleus, 3)
     assert len(q.blocks) == 4
@@ -148,7 +148,7 @@ def test_schreier_graph_examples(adding, grigorchuk):
     assert len(s.vertices) == 8
     assert s.is_connected()
 
-    inert = parse_group("alphabet: 2\na = ()(a, a)\n")
+    inert = GroupDef.parse("alphabet: 2\na = ()(a, a)\n")
     s = schreier_graph(inert, 1)
     assert len(s.vertices) == 2
     assert not s.edges
@@ -191,7 +191,7 @@ def test_huge_levels_fail_at_once(adding_nucleus, trivial2):
 
 
 def test_class_of(basilica_nucleus):
-    flip = compute_nucleus(parse_group("alphabet: 2\na = (0 1)(a, a)\n"))
+    flip = compute_nucleus(GroupDef.parse("alphabet: 2\na = (0 1)(a, a)\n"))
     for nucleus in (basilica_nucleus, flip, compute_nucleus(resolve_group(ODOMETER3_FILE))):
         for n in range(4):
             q = quotient_graph(nucleus, n)

@@ -2,12 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from selfsim import kneading_group, resolve_group
 from selfsim.nucleus import (
     Budget,
     NotContractingError,
+    Nucleus,
     compute_nucleus,
     is_level_transitive,
     is_regular,
@@ -15,7 +17,7 @@ from selfsim.nucleus import (
     length3_relations,
     section_closure,
 )
-from selfsim.ssgroup import GenWord, parse_group
+from selfsim.ssgroup import GenWord, GroupDef
 
 LAMPLIGHTER = "alphabet: 2\na = (0 1)(a, b)\nb = ()(a, b)\n"
 
@@ -46,14 +48,14 @@ def test_nucleus_matches_bruteforce_oracle(name, size):
 
 
 def test_lamplighter_not_contracting():
-    group = parse_group(LAMPLIGHTER)
+    group = GroupDef.parse(LAMPLIGHTER)
     with pytest.raises(NotContractingError):
         compute_nucleus(group)
 
 
 def test_lamplighter_verdict_lists_its_rounds():
     with pytest.raises(NotContractingError) as info:
-        compute_nucleus(parse_group(LAMPLIGHTER))
+        compute_nucleus(GroupDef.parse(LAMPLIGHTER))
     rounds = info.value.rounds
     # the starting set, then every finished round, each larger than the last
     assert len(rounds) >= 3
@@ -64,8 +66,48 @@ def test_lamplighter_verdict_lists_its_rounds():
     assert message.endswith(f" after rounds of {', '.join(map(str, rounds))} candidates")
 
 
+def test_long_kneading_nucleus_fits_the_default_budget():
+    """Products of candidates with the generators' closure only: the machine
+    stays small enough for the default budget."""
+    group = kneading_group("0000000000")
+    nucleus = compute_nucleus(group, Budget())
+    assert len(nucleus) == 133
+    assert len(group.machine) < 5_000
+
+
+@st.composite
+def bounded_automata(draw):
+    """Alphabet size and recursion of a random automaton whose sections
+    are each the identity, one generator or one inverse."""
+    d = draw(st.integers(2, 3))
+    names = "abc"[:draw(st.integers(1, 3))]
+    letters = ["e", *names, *names.upper()]
+    recursion = {}
+    for sym in names:
+        perm = tuple(draw(st.permutations(range(d))))
+        sections = tuple(GenWord.parse(draw(st.sampled_from(letters))) for _ in range(d))
+        recursion[sym] = (perm, sections)
+    return d, recursion
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_automata())
+def test_computed_nucleus_passes_the_independent_check(automaton):
+    """Whenever the closure stops, the pair-automaton check of a fresh group,
+    which interns no product, accepts its result as the nucleus."""
+    d, recursion = automaton
+    try:
+        nucleus = compute_nucleus(GroupDef(d, recursion), Budget(max_states=1_000))
+    except NotContractingError:
+        return
+    # reps are the shortest, then least, words met, so a fresh load may pick
+    # other words of one length; it must accept the set all the same
+    loaded = Nucleus.from_json(GroupDef(d, recursion), nucleus.to_json())
+    assert len(loaded) == len(nucleus)
+
+
 def test_lamplighter_oracle_grows():
-    group = parse_group(LAMPLIGHTER)
+    group = GroupDef.parse(LAMPLIGHTER)
     with pytest.raises(oracles.OracleBudget):
         oracles.nucleus(group, level=6, cap=40)
 
@@ -171,14 +213,14 @@ def test_self_replicating(adding, basilica, grigorchuk):
     assert is_self_replicating(basilica, 4) == "yes"
     # contrary to a first guess, the letter swapper witnesses all pairs here
     assert is_self_replicating(grigorchuk, 2) == "yes"
-    flip = parse_group("alphabet: 2\na = (0 1)(a, a)\n")
+    flip = GroupDef.parse("alphabet: 2\na = (0 1)(a, a)\n")
     assert is_self_replicating(flip, 6) == "unknown"
 
 
 def test_level_transitive(adding, grigorchuk):
     assert is_level_transitive(adding, 8)
     assert is_level_transitive(grigorchuk, 8)
-    inert = parse_group("alphabet: 2\na = ()(a, a)\n")
+    inert = GroupDef.parse("alphabet: 2\na = ()(a, a)\n")
     assert not is_level_transitive(inert, 1)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from selfsim import resolve_group
-from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef, parse_group
+from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef
 from selfsim.words import parse_word
 
 
@@ -39,20 +39,20 @@ def test_parse_group_grigorchuk(grigorchuk):
 
 def test_parse_group_errors():
     with pytest.raises(ValueError):
-        parse_group("alphabet: 2\na = (0 1)(e, b)\n")  # undeclared symbol
+        GroupDef.parse("alphabet: 2\na = (0 1)(e, b)\n")  # undeclared symbol
     with pytest.raises(ValueError):
-        parse_group("alphabet: 2\na = (0 0)(e, a)\n")  # not a bijection
+        GroupDef.parse("alphabet: 2\na = (0 0)(e, a)\n")  # not a bijection
     with pytest.raises(ValueError):
-        parse_group("alphabet: 2\na = (0 2)(e, a)\n")  # letter out of range
+        GroupDef.parse("alphabet: 2\na = (0 2)(e, a)\n")  # letter out of range
     with pytest.raises(ValueError):
-        parse_group("a = (0 1)(e, a)\n")  # missing header
+        GroupDef.parse("a = (0 1)(e, a)\n")  # missing header
     with pytest.raises(ValueError):
-        parse_group("alphabet: 2\na = (0 1)(e, a, a)\n")  # arity
+        GroupDef.parse("alphabet: 2\na = (0 1)(e, a, a)\n")  # arity
 
 
 def test_group_text_roundtrip(grigorchuk, adding, basilica):
     for g in (grigorchuk, adding, basilica):
-        again = parse_group(g.to_text())
+        again = GroupDef.parse(g.to_text())
         assert again.to_text() == g.to_text()
         assert again.content_hash() == g.content_hash()
 
@@ -130,7 +130,7 @@ def test_is_trivial_examples(adding, grigorchuk):
 
 def test_is_trivial_undecided_budget():
     # fresh group: nothing cached, and the closure of (ad)^4 has 6 states
-    g = parse_group("alphabet: 2\na = (0 1)(e, e)\nb = ()(a, c)\nc = ()(a, d)\nd = ()(e, b)\n")
+    g = GroupDef.parse("alphabet: 2\na = (0 1)(e, e)\nb = ()(a, c)\nc = ()(a, d)\nd = ()(e, b)\n")
     res = g.is_trivial(g.word("adadadad"), limit=3)
     assert res.status == "undecided"
     assert g.is_trivial(g.word("adadadad"), limit=100).status == "trivial"
@@ -177,7 +177,7 @@ def test_wreath_is_homomorphism(grigorchuk):
 TERNARY_ODOMETER = "alphabet: 3\na = (0 1 2)(e, e, a)\n"
 
 WREATH_GROUPS = [resolve_group("grigorchuk"), resolve_group("basilica"),
-                 resolve_group("trivial:3"), parse_group(TERNARY_ODOMETER)]
+                 resolve_group("trivial:3"), GroupDef.parse(TERNARY_ODOMETER)]
 
 
 def _group_and_factors(group):
@@ -309,7 +309,7 @@ def test_machine_stays_minimal_and_correct(spec, ops):
     """Words, products and inverses interned in any order leave the machine
     minimal (no two states bisimilar), every state acting on level 8 as the
     words interned to it do, and every rep interning back to its state."""
-    group = parse_group(spec) if spec.startswith("alphabet") else resolve_group(spec)
+    group = GroupDef.parse(spec) if spec.startswith("alphabet") else resolve_group(spec)
     m = group.machine
     gens = group.generators
     interned = []

@@ -11,13 +11,13 @@ from selfsim.presentation import (
     offcylinder_stabilizer_tables,
     verify_relator,
 )
-from selfsim.ssgroup import parse_group
+from selfsim.ssgroup import GroupDef
 
 ODOMETER3 = "alphabet: 3\na = (0 1 2)(e, e, a)\n"
 
 
 def group():
-    return parse_group(ODOMETER3, name="odometer3")
+    return GroupDef.parse(ODOMETER3, name="odometer3")
 
 
 def test_ternary_odometer_action():

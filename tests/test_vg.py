@@ -191,9 +191,9 @@ def test_tables_equal_examples(adding, grigorchuk):
 
 
 def test_tables_equal_undecided_propagates():
-    from selfsim.ssgroup import parse_group
+    from selfsim.ssgroup import GroupDef
 
-    g = parse_group("alphabet: 2\na = (0 1)(e, e)\nb = ()(a, c)\nc = ()(a, d)\nd = ()(e, b)\n")
+    g = GroupDef.parse("alphabet: 2\na = (0 1)(e, e)\nb = ()(a, c)\nc = ()(a, d)\nd = ()(e, b)\n")
     lhs = Table.from_element(g, "adadadad")
     assert lhs.equals(Table.identity(g), limit=3) == "undecided"
     assert lhs.equals(Table.identity(g)) == "equal"
@@ -240,9 +240,9 @@ def test_sign_examples(trivial3):
 
 
 def test_sign_requires_trivial_entries():
-    from selfsim.ssgroup import parse_group
+    from selfsim.ssgroup import GroupDef
 
-    g3 = parse_group("alphabet: 3\na = (0 1 2)(e, e, a)\n")
+    g3 = GroupDef.parse("alphabet: 3\na = (0 1 2)(e, e, a)\n")
     with pytest.raises(ValueError, match="trivial entries"):
         Table.from_element(g3, "a").sign()
     assert Table.identity(g3).sign() == 0
