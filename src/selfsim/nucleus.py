@@ -5,9 +5,10 @@ sections.  Starting from S, the section closure of the generators, their
 inverses and the identity, the candidate set N grows until it absorbs N*S:
 each new candidate is multiplied on the right by S, and the section
 states that recur at arbitrarily large depth in those products (they lie
-on or hang off a cycle of the section graph) are adjoined, until no new
-state appears.  Exhausting the state or depth budget yields a bounded
-"not contracting within budget" verdict, never a theorem.
+on or hang off a cycle of the automaton of pairs, read off the machine's
+tables) are interned and adjoined, until no new state appears.  The same
+rule checks a cached nucleus.  Exhausting the state or depth budget
+yields a bounded "not contracting within budget" verdict, never a theorem.
 """
 
 from __future__ import annotations
@@ -100,26 +101,31 @@ class Nucleus:
 
     @classmethod
     def from_json(cls, group: GroupDef, data: dict, budget: Budget = Budget()) -> "Nucleus":
+        if not isinstance(data, dict):
+            raise ValueError("nucleus data must be an object")
         if data.get("group") != group.content_hash():
             raise ValueError("nucleus data belongs to a different group")
-        states = data["states"]
+        states = data.get("states")
         if not isinstance(states, list) or not all(isinstance(t, str) for t in states):
             raise ValueError("nucleus states must be a list of words")
         machine = group.machine
         kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
+        words = [group.word(text) for text in states]
         try:
-            ids = set()
-            for text in states:
-                sid = machine.intern(group.word(text), **kw)
-                ids |= machine.reachable([sid, machine.inverse_state(sid, **kw)])
+            sids = [machine.intern(w, **kw) for w in words]
+            ids = machine.reachable([*sids, *(machine.inverse_state(s, **kw) for s in sids)])
             start = machine.reachable([machine.identity, *_generator_states(group, **kw)])
+            # what compute_nucleus returns, each state named once: its starting
+            # set and otherwise only states on or below a section cycle,
+            # holding the deep sections of every product with the start
+            if (sorted(sids) != sorted(ids)
+                    or ids != start | _persistent_states(machine.kids, ids)
+                    or not _deep_products(machine, sorted(ids), start, **kw) <= ids):
+                raise ValueError("nucleus data is not the nucleus of this group")
         except BudgetExceeded as exc:
             raise ValueError(f"nucleus data does not load: {exc}") from None
-        # what compute_nucleus returns: its starting set and otherwise only
-        # states on or below a section cycle, absorbing every product
-        if (ids != start | _persistent_states(machine.kids, ids, set())
-                or not _absorbs(machine, ids, start)):
-            raise ValueError("nucleus data is not the nucleus of this group")
+        for sid, word in zip(sids, words):
+            machine.reps[sid] = word
         return cls(group, ids)
 
 
@@ -146,85 +152,67 @@ def section_closure(group: GroupDef, words, budget: Budget = Budget()) -> list[G
     return sorted((machine.reps[s] for s in closed), key=lambda w: (len(w), str(w)))
 
 
-def _persistent_states(kids, roots, stop: set) -> set:
+def _persistent_states(kids, roots) -> set:
     """States reachable from `roots` at arbitrarily large depth along the
-    section table `kids`, ignoring the region `stop` (which must be
-    section-closed, so no cycle leaves it).
+    section table `kids`.
 
-    A state recurs arbitrarily deep iff it has an infinite backward chain
-    inside the region, i.e. iff it survives iterated peeling of states
-    without incoming region edges.
+    A state recurs arbitrarily deep iff it has an infinite backward chain,
+    i.e. iff it survives iterated peeling of states without incoming edges.
     """
     region = set()
     stack = list(roots)
     while stack:
         s = stack.pop()
-        if s in region or s in stop:
+        if s in region:
             continue
         region.add(s)
         stack.extend(kids[s])
     indeg = {s: 0 for s in region}
     for s in region:
         for kid in kids[s]:
-            if kid in indeg:
-                indeg[kid] += 1
+            indeg[kid] += 1
     queue = deque(s for s, n in indeg.items() if n == 0)
     alive = set(region)
     while queue:
         s = queue.popleft()
         alive.discard(s)
         for kid in kids[s]:
-            if kid in alive:
-                indeg[kid] -= 1
-                if indeg[kid] == 0:
-                    queue.append(kid)
+            indeg[kid] -= 1
+            if indeg[kid] == 0:
+                queue.append(kid)
     return alive
 
 
-def _absorbs(machine, current: set[int], right: set[int]) -> bool:
-    """True when every deep section of every product g*h, with g in the
-    section-closed set `current` and h in its section-closed subset
-    `right`, is a state of `current`.
+def _deep_products(machine, left, right, **kw) -> set[int]:
+    """States of the deep sections of the products g*h, g in `left` and h
+    in `right`; `kw` are the intern budget limits.
 
     Sections of products are products, (g*h)|_x = g|_{h(x)} * h|_x, so the
-    pairs (g, h) form a finite automaton whose deep sections are the pairs
-    on or below a cycle.  Each of those must be bisimilar to a state of
-    `current`; machine states are pairwise not bisimilar.  Only the
-    machine's tables are read: no product is interned.
-
-    With `right` the section closure of the generators and their inverses,
-    this proves that the deep sections of every element lie in `current`
-    (induct on words, appending one generator at a time), so `current`
-    holds the whole nucleus.
+    pairs (g, h) form a finite automaton, read off the machine's tables;
+    only its pairs on or below a cycle are interned, in sorted order.  With
+    `right` the section closure of the identity, the generators and their
+    inverses, a section-closed set holding the deep products of its states
+    with `right` holds the deep sections of every element (induct on words,
+    appending one generator at a time), so it holds the whole nucleus.
     """
-    perms, kids = machine.perms, machine.kids
-    succ = {g: kids[g] for g in current}
-    label = {g: perms[g] for g in current}
-    pairs = {(g, h): tuple((kids[g][y], kids[h][x]) for x, y in enumerate(perms[h]))
-             for g in current for h in right}
-    for pair in _persistent_states(pairs, pairs, set()):
-        g, h = pair
-        succ[pair] = pairs[pair]
-        label[pair] = tuple(perms[g][y] for y in perms[h])
-    # coarsest partition by level-one permutation that is stable under sections
-    block, count = label, None
-    while True:
-        sigs: dict = {}
-        block = {n: sigs.setdefault((block[n], tuple(block[k] for k in succ[n])), len(sigs))
-                 for n in succ}
-        if len(sigs) == count:
-            break
-        count = len(sigs)
-    return {block[n] for n in succ} == {block[g] for g in current}
+    pairs: dict = {}
+    stack = [(g, h) for g in left for h in right]
+    while stack:
+        pair = stack.pop()
+        if pair not in pairs:
+            pairs[pair] = machine.pair_row(pair)[1]
+            stack.extend(pairs[pair])
+    return {machine.product_state(g, h, **kw) for g, h in sorted(_persistent_states(pairs, pairs))}
 
 
 def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
     """Fixed point of absorbing N*S, where S is the section closure of the
     identity, the generators and their inverses: each round multiplies only
     the previous round's new states, on the right, by S and adjoins the
-    states that recur arbitrarily deep in those products.  Once N absorbs
-    N*S it holds the deep sections of every element (see `_absorbs`), and
-    since the nucleus is closed under inverses the fixed point is too.
+    states that recur arbitrarily deep in those products, interning only
+    those (see `_deep_products`).  Once N absorbs N*S it holds the deep
+    sections of every element, and since the nucleus is closed under
+    inverses the fixed point is too.
 
     Raises NotContractingError when the state or depth budget runs out;
     that verdict is always "not contracting within budget", the property
@@ -243,8 +231,7 @@ def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
             rounds.append(len(current))
             if len(current) > budget.max_states:
                 raise NotContractingError(budget, f"{len(current)} states and growing", rounds)
-            products = [machine.product_state(g, h, **kw) for g in sorted(new) for h in right]
-            new = _persistent_states(machine.kids, products, current)
+            new = _deep_products(machine, sorted(new), right, **kw) - current
             current |= new
     except BudgetExceeded as exc:
         raise NotContractingError(budget, str(exc), rounds) from None

@@ -11,7 +11,8 @@ walk down the tree that steps each distinct section once; triviality and
 equality are decided coinductively over the (possibly infinite) automaton
 of sections, and a bisimulation-based interning machine assigns
 canonical state ids so that repeated section and equality queries are
-cheap.
+cheap.  Words, products of two states and inverses share one interning
+routine; products and inverses are read off the machine's tables.
 """
 
 from __future__ import annotations
@@ -494,7 +495,7 @@ class Machine:
         self.perms: list[Perm] = []
         self.kids: list[tuple[int, ...]] = []
         self.reps: list[GenWord] = []
-        self._by_word: dict[str, int] = {}
+        self._by_word: dict[GenWord, int] = {}
         self._clusters: dict[tuple, tuple[int, ...]] = {}  # key -> first ids
         self._cycle: list[range | None] = []  # cyclic cluster of each state
         self._inverses: dict[int, int] = {}
@@ -504,68 +505,91 @@ class Machine:
     def __len__(self):
         return len(self.perms)
 
-    # Collect the word's unknown section words, then settle their graph one
-    # strongly connected component at a time, descendants first, so that
-    # every section leaving a component already has its state.  The work
-    # grows with the new words and the clusters they point into, not with
-    # the machine.  The budget bounds the states, the section depth, and
-    # the length of a section word by the larger of `max_states` and the
-    # word's own length.
     def intern(self, word: GenWord, max_states: int = 100_000,
                max_depth: int = 512) -> int:
+        """State of a word.  Besides the budget of `_intern`, a section word
+        longer than both `max_states` and the word itself raises."""
         word = self.group.word(word)
-        key = str(word)
-        hit = self._by_word.get(key)
+        longest = max(max_states, len(word))
+
+        def row(w: GenWord):
+            if len(w) > longest:
+                raise BudgetExceeded(f"section length exceeded {longest}")
+            return self.group.wreath(w)
+
+        return self._intern(word, row, self._by_word, lambda w: w, max_states, max_depth)
+
+    def product_state(self, s1: int, s2: int, **kw) -> int:
+        return self._intern((s1, s2), self.pair_row, self._products,
+                            lambda pair: self.reps[pair[0]] * self.reps[pair[1]], **kw)
+
+    def pair_row(self, pair: tuple[int, int]) -> tuple[Perm, tuple[tuple[int, int], ...]]:
+        """Permutation and section pairs of the product of a pair of states,
+        rightmost acting first: (g*h)|_x = g|_{h(x)} * h|_x."""
+        g, h = pair
+        ph, kg = self.perms[h], self.kids[g]
+        return (tuple(map(self.perms[g].__getitem__, ph)),
+                tuple(zip(map(kg.__getitem__, ph), self.kids[h])))
+
+    def inverse_state(self, sid: int, **kw) -> int:
+        def row(s):  # inverted permutation; at x the inverse of the section at its preimage
+            inv = invert_perm(self.perms[s])
+            return inv, tuple(map(self.kids[s].__getitem__, inv))
+
+        return self._intern(sid, row, self._inverses, lambda s: self.reps[s].inverse(), **kw)
+
+    # Collect the root's unknown nodes breadth first, then settle their
+    # graph one strongly connected component at a time, descendants first,
+    # so that every section leaving a component already has its state.  A
+    # node is a word, a pair of states (their product) or a state (its
+    # inverse); `row` gives its level-one permutation and section nodes,
+    # `memo` the states of nodes met before, and `word_of` a word for it,
+    # asked only of nodes of new states, whose rep is the shortest, then
+    # least, such word.  The work grows with the new nodes and the clusters
+    # they point into, not with the machine.  The budget bounds the states
+    # and the section depth.
+    def _intern(self, root, row, memo: dict, word_of, max_states: int = 100_000,
+                max_depth: int = 512) -> int:
+        hit = memo.get(root)
         if hit is not None:
             return hit
 
-        unknown: dict[str, tuple[Perm, list[tuple[str, object]]]] = {}
-        wordof: dict[str, GenWord] = {}
-        longest = max(max_states, len(word))
-        queue = deque([(word, 0)])
+        unknown: dict = {}  # node -> (perm, refs), each ref ("s", id) or ("n", node)
+        queue = deque([(root, 0)])
         while queue:
-            cur, depth = queue.popleft()
-            ckey = str(cur)
-            if ckey in unknown or ckey in self._by_word:
+            node, depth = queue.popleft()
+            if node in unknown or node in memo:
                 continue
             if depth > max_depth:
                 raise BudgetExceeded(f"section depth exceeded {max_depth}")
-            if len(cur) > longest:
-                raise BudgetExceeded(f"section length exceeded {longest}")
+            perm, sections = row(node)
             if len(unknown) + len(self.perms) >= max_states:
                 raise BudgetExceeded(f"state budget {max_states} exhausted")
-            perm, sections = self.group.wreath(cur)
             refs: list[tuple[str, object]] = []
             for sec in sections:
-                skey = str(sec)
-                sid = self._by_word.get(skey)
+                sid = memo.get(sec)
                 if sid is not None:
                     refs.append(("s", sid))
                 else:
-                    refs.append(("w", skey))
+                    refs.append(("n", sec))
                     queue.append((sec, depth + 1))
-            unknown[ckey] = (perm, refs)
-            wordof[ckey] = cur
+            unknown[node] = (perm, refs)
 
         first = len(self.perms)
-        state: dict[str, int] = {}
-        for scc in _tarjan_sccs(unknown, lambda w: (r for k, r in unknown[w][1] if k == "w")):
+        state: dict = {}
+        for scc in _tarjan_sccs(unknown, lambda v: (r for k, r in unknown[v][1] if k == "n")):
             self._settle(scc, unknown, state)
-        if len(self.perms) > first:
-            # a new state's rep: the shortest, then least, word met for it
-            best: dict[int, str] = {}
-            for wkey, sid in state.items():
-                if sid >= first:
-                    old = best.get(sid)
-                    if old is None or (len(wordof[wkey]), wkey) < (len(wordof[old]), old):
-                        best[sid] = wkey
-            for sid, wkey in best.items():
-                self.reps[sid] = wordof[wkey]
-        self._by_word.update(state)
-        return state[key]
+        words: dict[int, list[GenWord]] = {}
+        for node, sid in state.items():
+            if sid >= first:
+                words.setdefault(sid, []).append(word_of(node))
+        for sid, cands in words.items():
+            self.reps[sid] = min(cands, key=lambda w: (len(w), str(w)))
+        memo.update(state)
+        return state[root]
 
-    def _settle(self, scc: list[str], unknown: dict, state: dict[str, int]) -> None:
-        """Give each word of one strongly connected component of the word
+    def _settle(self, scc: list, unknown: dict, state: dict) -> None:
+        """Give each node of one strongly connected component of the node
         graph its state.
 
         The component is reduced by bisimulation to blocks, then looked up
@@ -576,30 +600,28 @@ class Machine:
         or the cycle bb -> cc -> dd -> bb in the Grigorchuk group, all
         bisimilar to the identity.
         """
-        inside = set(scc)
-        rows = {}
-        for w in scc:
-            perm, refs = unknown[w]
-            rows[w] = (perm, [r if k == "s" or r in inside else state[r] for k, r in refs])
+        # rows over positions in the component: section i inside is ~i,
+        # a section outside is its state id
+        pos = {v: i for i, v in enumerate(scc)}
+        rows = [(perm, [r if k == "s" else ~pos[r] if r in pos else state[r] for k, r in refs])
+                for perm, refs in map(unknown.__getitem__, scc)]
         labels: dict[Perm, int] = {}
-        block = {w: labels.setdefault(rows[w][0], len(labels)) for w in scc}
+        block = [labels.setdefault(perm, len(labels)) for perm, _ in rows]
         count = len(labels)
-        while len(scc) > 1:  # refine by sections; one word is one block
+        while len(scc) > 1:  # refine by sections; one node is one block
             sigs: dict[tuple, int] = {}
-            block = {w: sigs.setdefault((block[w], tuple(~block[k] if k in block else k
-                                                          for k in rows[w][1])), len(sigs))
-                     for w in scc}
+            block = [sigs.setdefault((b, tuple(~block[~k] if k < 0 else k for k in kids)),
+                                     len(sigs))
+                     for b, (_, kids) in zip(block, rows)]
             if len(sigs) == count:
                 break
             count = len(sigs)
-        # blocks as rows of would-be states n, n + 1, ..., numbered by first word
+        # blocks as rows of would-be states n, n + 1, ..., numbered by first node
         n = len(self.perms)
         q: list = [None] * count
-        for w in scc:
-            j = block[w]
+        for j, (perm, kids) in zip(block, rows):
             if q[j] is None:
-                perm, kids = rows[w]
-                q[j] = (perm, tuple(n + block[k] if k in block else k for k in kids))
+                q[j] = (perm, tuple(n + block[~k] if k < 0 else k for k in kids))
         touched = {c for _, kids in q for k in kids if k < n and (c := self._cycle[k])}
         ckey = _cluster_key(q, n)
         registered = (range(s, s + count) for s in self._clusters.get(ckey, ()))
@@ -609,8 +631,8 @@ class Machine:
                 break
         else:
             image = self._add(q, ckey)
-        for w in scc:
-            state[w] = image[block[w]]
+        for v, j in zip(scc, block):
+            state[v] = image[j]
 
     def _walk(self, q: list, n: int, t: int) -> list[int] | None:
         """Parallel walk from block 0 and state t that maps each block's
@@ -645,21 +667,6 @@ class Machine:
             self.reps.append(None)
             self._cycle.append(cycle)
         return ids
-
-    def inverse_state(self, sid: int, **kw) -> int:
-        hit = self._inverses.get(sid)
-        if hit is None:
-            hit = self.intern(self.reps[sid].inverse(), **kw)
-            self._inverses[sid] = hit
-            self._inverses[hit] = sid
-        return hit
-
-    def product_state(self, s1: int, s2: int, **kw) -> int:
-        hit = self._products.get((s1, s2))
-        if hit is None:
-            hit = self.intern(self.reps[s1] * self.reps[s2], **kw)
-            self._products[(s1, s2)] = hit
-        return hit
 
     def reachable(self, roots: Iterable[int]) -> set[int]:
         seen = set()

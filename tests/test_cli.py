@@ -75,6 +75,16 @@ def test_nucleus_cache(capsys, tmp_path):
     assert code == 0 and out1.splitlines()[1:] == out3.splitlines()[1:]
 
 
+def test_cached_nucleus_prints_what_was_computed(capsys, tmp_path):
+    """A load from the cache keeps the words the computation chose, where
+    another word of the same length names the same state."""
+    path = tmp_path / "g.group"
+    path.write_text("alphabet: 2\na = (0 1)(e, b)\nb = (1 0)(a, A)\n")
+    first = run(capsys, "nucleus", str(path), "--json")
+    assert first[0] == 0 and (tmp_path / "g.group.nucleus.json").exists()
+    assert run(capsys, "nucleus", str(path), "--json") == first
+
+
 @pytest.mark.parametrize("content", [
     '{"group": "', "not json at all", "[]", "",
     '{"group": "HASH", "states": "ab"}', '{"group": "HASH", "states": [5]}',

@@ -66,13 +66,15 @@ def test_lamplighter_verdict_lists_its_rounds():
     assert message.endswith(f" after rounds of {', '.join(map(str, rounds))} candidates")
 
 
-def test_long_kneading_nucleus_fits_the_default_budget():
-    """Products of candidates with the generators' closure only: the machine
-    stays small enough for the default budget."""
-    group = kneading_group("0000000000")
+@pytest.mark.parametrize("kneading, size", [("0000000000", 133), ("00000000000000", 241)])
+def test_long_kneading_nucleus_fits_the_default_budget(kneading, size):
+    """Only the deep sections of products of candidates with the
+    generators' closure are interned, so the machine holds the nucleus and
+    nothing else."""
+    group = kneading_group(kneading)
     nucleus = compute_nucleus(group, Budget())
-    assert len(nucleus) == 133
-    assert len(group.machine) < 5_000
+    assert len(nucleus) == size
+    assert len(group.machine) == len(nucleus)
 
 
 @st.composite
@@ -93,17 +95,15 @@ def bounded_automata(draw):
 @settings(max_examples=100, deadline=None)
 @given(bounded_automata())
 def test_computed_nucleus_passes_the_independent_check(automaton):
-    """Whenever the closure stops, the pair-automaton check of a fresh group,
-    which interns no product, accepts its result as the nucleus."""
+    """Whenever the closure stops, the check of a fresh group accepts its
+    result as the nucleus, and the loaded nucleus is the computed one."""
     d, recursion = automaton
     try:
         nucleus = compute_nucleus(GroupDef(d, recursion), Budget(max_states=1_000))
     except NotContractingError:
         return
-    # reps are the shortest, then least, words met, so a fresh load may pick
-    # other words of one length; it must accept the set all the same
     loaded = Nucleus.from_json(GroupDef(d, recursion), nucleus.to_json())
-    assert len(loaded) == len(nucleus)
+    assert loaded.to_json() == nucleus.to_json()
 
 
 def test_lamplighter_oracle_grows():
@@ -279,15 +279,17 @@ def test_nucleus_cache_roundtrip(grigorchuk_nucleus):
     ("kneading:000", [["a", "b", "c", "d"],
                       ["a", "b", "c", "d", "Ab", "Ac", "Ad", "Bc", "Bd", "Cd", "abc"]])])
 def test_nucleus_cache_loads_only_the_nucleus(name, forged):
-    """States missing or extra states under the right hash are refused.
-    The check reads the machine's tables only, so a load into a fresh
-    group interns no product: its machine holds just the nucleus."""
+    """States missing, extra states or a state named twice under the right
+    hash are refused.  The check interns only deep products, so a load into
+    a fresh group leaves its machine holding just the nucleus."""
     from selfsim.nucleus import Nucleus
 
     data = compute_nucleus(resolve_group(name)).to_json()
     group = resolve_group(name)
     assert Nucleus.from_json(group, data).to_json() == data
     assert len(group.machine) == len(data["states"])
-    for states in forged:
+    for states in [*forged, data["states"] + data["states"][-1:]]:
         with pytest.raises(ValueError, match="not the nucleus"):
             Nucleus.from_json(resolve_group(name), dict(data, states=states))
+    with pytest.raises(ValueError, match="must be an object"):
+        Nucleus.from_json(resolve_group(name), [data])
