@@ -28,7 +28,8 @@ class Budget:
 
 class NotContractingError(Exception):
     """The closure did not stabilize within the budget.  `rounds` holds the
-    candidate count after each finished round, starting set first."""
+    candidate count after each finished round, starting set first; past
+    ten rounds the message names only the first and last three."""
 
     def __init__(self, budget: Budget, detail: str = "", rounds: tuple[int, ...] = ()):
         self.budget = budget
@@ -37,7 +38,10 @@ class NotContractingError(Exception):
         if detail:
             msg += f": {detail}"
         if rounds:
-            msg += f" after rounds of {', '.join(map(str, rounds))} candidates"
+            counts = [str(n) for n in rounds]
+            if len(counts) > 10:
+                counts[3:-3] = [f"... ({len(counts) - 6} more) ..."]
+            msg += f" after rounds of {', '.join(counts)} candidates"
         super().__init__(msg)
 
 

@@ -34,6 +34,7 @@ from .words import (
 
 Row = tuple[Word, GenWord, Word]
 _domain = itemgetter(0)
+_range = itemgetter(2)
 
 
 class Table:
@@ -94,12 +95,16 @@ class Table:
 
     def _children(self, row: Row, side: int) -> list[Row]:
         """The d rows that replace `row`, sorted by the chosen column
-        (0 domain, 2 range)."""
+        (0 domain, 2 range).  A trivial entry fixes every letter, so its
+        children are already in range order and need no wreath fold."""
         v, g, u = row
+        d = self.group.d
+        if not g:
+            return [(v + (x,), g, u + (x,)) for x in range(d)]
         perm, sections = self.group.wreath(g)
-        kids = [(v + (x,), sections[x], u + (perm[x],)) for x in range(self.group.d)]
+        kids = [(v + (x,), sections[x], u + (perm[x],)) for x in range(d)]
         if side == 2:
-            kids.sort(key=lambda r: r[2])
+            kids.sort(key=_range)
         return kids
 
     def split_row(self, i: int) -> "Table":
@@ -129,17 +134,17 @@ class Table:
         until those columns agree; yields the matched row pairs in order of
         the shared column word.  A row is split only when its partner's word
         is deeper, and then once, so each split level is visited once."""
-        a = sorted(a_rows, key=lambda r: r[a_side], reverse=True)
-        b = sorted(b_rows, key=lambda r: r[b_side], reverse=True)
+        a = sorted(a_rows, key=itemgetter(a_side), reverse=True)
+        b = sorted(b_rows, key=itemgetter(b_side), reverse=True)
         while a and b:
             ra, rb = a.pop(), b.pop()
             wa, wb = ra[a_side], rb[b_side]
             if wa == wb:
                 yield ra, rb
-            elif is_prefix(wa, wb):
+            elif len(wa) < len(wb) and wb[: len(wa)] == wa:
                 a.extend(reversed(self._children(ra, a_side)))
                 b.append(rb)
-            elif is_prefix(wb, wa):
+            elif wa[: len(wb)] == wb:  # wb is shorter: distinct equal lengths fail here
                 b.extend(reversed(self._children(rb, b_side)))
                 a.append(ra)
             else:

@@ -66,6 +66,19 @@ def test_lamplighter_verdict_lists_its_rounds():
     assert message.endswith(f" after rounds of {', '.join(map(str, rounds))} candidates")
 
 
+def test_long_verdict_names_only_the_first_and_last_rounds():
+    """Past ten rounds the message elides the middle counts; `rounds`
+    keeps them all."""
+    group = GroupDef.parse("alphabet: 3\na = (0 2)(e, a, a)\n")
+    with pytest.raises(NotContractingError) as info:
+        compute_nucleus(group, Budget(max_states=300))
+    rounds = info.value.rounds
+    assert len(rounds) == 149
+    first, last = ", ".join(map(str, rounds[:3])), ", ".join(map(str, rounds[-3:]))
+    assert str(info.value).endswith(
+        f" after rounds of {first}, ... (143 more) ..., {last} candidates")
+
+
 @pytest.mark.parametrize("kneading, size", [("0000000000", 133), ("00000000000000", 241)])
 def test_long_kneading_nucleus_fits_the_default_budget(kneading, size):
     """Only the deep sections of products of candidates with the

@@ -19,9 +19,10 @@ from selfsim.presentation import (
     relators_C,
     relators_N,
     relators_S,
+    UndecidedError,
     verify_relator,
 )
-from selfsim.ssgroup import GenWord
+from selfsim.ssgroup import GenWord, GroupDef
 from selfsim.vg import Table
 
 
@@ -201,6 +202,56 @@ def test_corrupted_relator_fails(grigorchuk):
     rows[0] = (v, grigorchuk.word("a") * g, u)
     bad = Relator("N", relator.symbolic + "~corrupted", Table(grigorchuk, rows))
     assert not verify_relator(bad)
+
+
+def _corrupted(table: Table) -> list[Table]:
+    """Copies of a relator table that should fail: two range words swapped,
+    and the first trivial entry replaced by a generator."""
+    group, rows = table.group, list(table.rows)
+    out = []
+    if len(rows) > 1:
+        swapped = list(rows)
+        (v0, g0, u0), (v1, g1, u1) = rows[0], rows[1]
+        swapped[0], swapped[1] = (v0, g0, u1), (v1, g1, u0)
+        out.append(Table(group, swapped))
+    for k, (v, g, u) in enumerate(rows):
+        if not g:
+            rows[k] = (v, group.word(group.generators[0]), u)
+            out.append(Table(group, rows))
+            break
+    return out
+
+
+ODOMETER3 = "alphabet: 3\na = (0 1 2)(e, e, a)\n"
+
+
+@pytest.mark.parametrize("spec", ["adding", "basilica", "grigorchuk", "kneading:01", "odometer3"])
+def test_verify_relator_agrees_with_table_equality(spec):
+    """Reading a relator's own rows gives the verdict of comparing its table
+    with the identity, on every relator and on corrupted copies of it."""
+    group = GroupDef.parse(ODOMETER3) if spec == "odometer3" else resolve_group(spec)
+    identity = Table.identity(group)
+    for relator in emit_presentation(group).all_relators():
+        for table in [relator.table, *_corrupted(relator.table)]:
+            probe = Relator(relator.family, relator.symbolic, table)
+            assert verify_relator(probe) == (table.equals(identity) == "equal"), \
+                relator.symbolic
+
+
+def test_verify_relator_undecided_matches_table_equality(grigorchuk):
+    """With a budget of one section word, an entry `aa` is undecided for
+    both checks; a fresh group keeps no triviality verdict from elsewhere."""
+    group = GroupDef.parse(grigorchuk.to_text())
+    relator = next(r for r in emit_presentation(group).relators["N"]
+                   if any(str(g) == "aa" for _, g, _ in r.table.rows))
+    undecided = relator.table.equals(Table.identity(group), 1) == "undecided"
+    try:
+        verify_relator(relator, limit=1)
+        raised = False
+    except UndecidedError:
+        raised = True
+    assert raised == undecided
+    assert raised
 
 
 def test_bundle_json_roundtrip(adding):
