@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
 from . import catalogue
 from .abelian import (
@@ -23,7 +21,6 @@ from .abelian import (
 from .limitspace import moore_diagram, quotient_graph, schreier_graph
 from .nucleus import (
     Budget,
-    Nucleus,
     NotContractingError,
     compute_nucleus,
     is_level_transitive,
@@ -44,46 +41,6 @@ def _budget(args) -> Budget:
     return Budget(max_states=args.budget_states, max_depth=args.budget_depth)
 
 
-def _cache_path(spec: str) -> str | None:
-    if os.path.exists(spec):
-        return spec + ".nucleus.json"
-    return None
-
-
-def _nucleus_for(group: GroupDef, spec: str, args) -> Nucleus:
-    path = None if getattr(args, "no_cache", False) else _cache_path(spec)
-    if path and os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if isinstance(data, dict) and data.get("group") == group.content_hash():
-                return Nucleus.from_json(group, data, _budget(args))
-        except (OSError, ValueError, KeyError):
-            pass  # stale or unreadable cache: recompute
-    nucleus = compute_nucleus(group, _budget(args))
-    if path:
-        try:
-            _write_json_atomically(path, nucleus.to_json())
-        except OSError:
-            pass
-    return nucleus
-
-
-def _write_json_atomically(path: str, data) -> None:
-    """Write to a temporary file in the same directory, then rename it over
-    `path`, so a concurrent or interrupted run never leaves a half-written
-    file; the temporary file is removed whatever happens."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _load_table(group: GroupDef, text: str) -> Table:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
@@ -99,7 +56,7 @@ def cmd_catalogue(args) -> None:
 
 def cmd_nucleus(args) -> None:
     group = catalogue.resolve_group(args.group)
-    nucleus = _nucleus_for(group, args.group, args)
+    nucleus = compute_nucleus(group, _budget(args))
     if args.json:
         print(json.dumps(nucleus.to_json()))
         return
@@ -112,16 +69,17 @@ def cmd_nucleus(args) -> None:
 
 def cmd_check(args) -> None:
     group = catalogue.resolve_group(args.group)
-    # every answer is computed before any is printed, so a bad argument
-    # exits with nothing on standard output
+    budget = _budget(args)
+    # every answer is computed before any is printed, so a bad argument or
+    # an exhausted budget exits with nothing on standard output
     try:
-        nucleus = compute_nucleus(group, _budget(args))
+        nucleus = compute_nucleus(group, budget)
         lines = [f"contracting: yes ({len(nucleus)} states)",
                  f"regular: {'yes' if is_regular(nucleus) else 'no'}"]
     except NotContractingError as exc:
         lines = [f"contracting: {exc}"]
     lines.append(f"self-replicating (radius {args.radius}): "
-                 f"{is_self_replicating(group, args.radius)}")
+                 f"{is_self_replicating(group, args.radius, budget)}")
     lines.append(f"level-transitive up to {args.level}: "
                  f"{'yes' if is_level_transitive(group, args.level) else 'no'}")
     print("\n".join(lines))
@@ -200,7 +158,7 @@ def cmd_present(args) -> None:
 
 def cmd_limit(args) -> None:
     group = catalogue.resolve_group(args.group)
-    nucleus = _nucleus_for(group, args.group, args)
+    nucleus = compute_nucleus(group, _budget(args))
     q = quotient_graph(nucleus, args.level)
     if args.format == "dot":
         print(q.to_dot())
@@ -210,7 +168,7 @@ def cmd_limit(args) -> None:
 
 def cmd_moore(args) -> None:
     group = catalogue.resolve_group(args.group)
-    nucleus = _nucleus_for(group, args.group, args)
+    nucleus = compute_nucleus(group, _budget(args))
     md = moore_diagram(nucleus)
     print(md.to_dot() if args.format == "dot" else json.dumps(md.to_json()))
 
@@ -245,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget-states", type=int, default=5000)
             p.add_argument("--budget-depth", type=int, default=64)
-            p.add_argument("--no-cache", action="store_true")
+            p.add_argument("--no-cache", action="store_true",
+                           help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("catalogue", help="print the built-in groups")
     p.set_defaults(func=cmd_catalogue)

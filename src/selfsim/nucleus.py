@@ -6,9 +6,9 @@ inverses and the identity, the candidate set N grows until it absorbs N*S:
 each new candidate is multiplied on the right by S, and the section
 states that recur at arbitrarily large depth in those products (they lie
 on or hang off a cycle of the automaton of pairs, read off the machine's
-tables) are interned and adjoined, until no new state appears.  The same
-rule checks a cached nucleus.  Exhausting the state or depth budget
-yields a bounded "not contracting within budget" verdict, never a theorem.
+tables) are interned and adjoined, until no new state appears.
+Exhausting the state or depth budget yields a bounded "not contracting
+within budget" verdict, never a theorem.
 """
 
 from __future__ import annotations
@@ -102,35 +102,6 @@ class Nucleus:
             "alphabet": self.group.d,
             "states": [str(r) for r in self.reps],
         }
-
-    @classmethod
-    def from_json(cls, group: GroupDef, data: dict, budget: Budget = Budget()) -> "Nucleus":
-        if not isinstance(data, dict):
-            raise ValueError("nucleus data must be an object")
-        if data.get("group") != group.content_hash():
-            raise ValueError("nucleus data belongs to a different group")
-        states = data.get("states")
-        if not isinstance(states, list) or not all(isinstance(t, str) for t in states):
-            raise ValueError("nucleus states must be a list of words")
-        machine = group.machine
-        kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
-        words = [group.word(text) for text in states]
-        try:
-            sids = [machine.intern(w, **kw) for w in words]
-            ids = machine.reachable([*sids, *(machine.inverse_state(s, **kw) for s in sids)])
-            start = machine.reachable([machine.identity, *_generator_states(group, **kw)])
-            # what compute_nucleus returns, each state named once: its starting
-            # set and otherwise only states on or below a section cycle,
-            # holding the deep sections of every product with the start
-            if (sorted(sids) != sorted(ids)
-                    or ids != start | _persistent_states(machine.kids, ids)
-                    or not _deep_products(machine, sorted(ids), start, **kw) <= ids):
-                raise ValueError("nucleus data is not the nucleus of this group")
-        except BudgetExceeded as exc:
-            raise ValueError(f"nucleus data does not load: {exc}") from None
-        for sid, word in zip(sids, words):
-            machine.reps[sid] = word
-        return cls(group, ids)
 
 
 def _generator_states(group: GroupDef, **kw) -> list[int]:
@@ -282,15 +253,17 @@ def is_regular(nucleus: Nucleus) -> bool:
     return not any(has_cycle(i) for i in nodes if i not in color)
 
 
-def is_self_replicating(group: GroupDef, radius: int) -> str:
+def is_self_replicating(group: GroupDef, radius: int, budget: Budget = Budget()) -> str:
     """"yes" iff for every pair of letters x, y some element of length at
     most `radius` maps x to y with trivial section there; "unknown" when
-    the search ball is exhausted (the property itself is not refuted)."""
+    the search ball is exhausted (the property itself is not refuted).
+    Interning past the budget raises BudgetExceeded."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     machine = group.machine
     d = group.d
-    gens = _generator_states(group)
+    kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
+    gens = _generator_states(group, **kw)
     needed = {(x, y) for x in range(d) for y in range(d)}
 
     def scan(sid: int):
@@ -306,7 +279,7 @@ def is_self_replicating(group: GroupDef, radius: int) -> str:
         nxt = []
         for s in frontier:
             for g in gens:
-                t = machine.product_state(s, g)
+                t = machine.product_state(s, g, **kw)
                 if t not in ball:
                     ball.add(t)
                     nxt.append(t)

@@ -168,19 +168,6 @@ class PresentationBundle:
             },
         }
 
-    @classmethod
-    def from_json(cls, group: GroupDef, data: dict) -> "PresentationBundle":
-        if data.get("group") != group.content_hash():
-            raise ValueError("presentation data belongs to a different group")
-        relators = {
-            fam: [
-                Relator(r["family"], r["symbolic"], Table.from_json(group, r["table"]))
-                for r in rels
-            ]
-            for fam, rels in data["relators"].items()
-        }
-        return cls(group, list(data["generators"]), relators)
-
 
 def _sym_L(rep: GenWord, v: Word | None = None) -> str:
     at = "" if v is None else f"@{format_word(v)}"
@@ -268,7 +255,7 @@ def level2_permutation(table: Table) -> Table:
     t = table.refine_domain(full)
     mapping = {}
     for v, g, u in t.rows:
-        if group.is_trivial(g).status != "trivial":
+        if g and group.is_trivial(g).status != "trivial":
             raise ValueError("solved element is not a level-two permutation table")
         if len(u) != len(v) or u[2:] != v[2:]:
             raise ValueError("solved element is not a level-two permutation table")

@@ -62,79 +62,48 @@ def test_exit_codes(capsys):
     assert code == 2 and out.strip() == "undecided"
 
 
-def test_nucleus_cache(capsys, tmp_path):
-    path = tmp_path / "adding.group"
-    path.write_text(resolve_group("adding").to_text())
-    code, out1, _ = run(capsys, "nucleus", str(path))
-    assert code == 0
-    cache = tmp_path / "adding.group.nucleus.json"
-    assert cache.exists()
-    code, out2, _ = run(capsys, "nucleus", str(path))
-    assert code == 0 and out1.splitlines()[1:] == out2.splitlines()[1:]
-    code, out3, _ = run(capsys, "nucleus", str(path), "--no-cache")
-    assert code == 0 and out1.splitlines()[1:] == out3.splitlines()[1:]
-
-
-def test_cached_nucleus_prints_what_was_computed(capsys, tmp_path):
-    """A load from the cache keeps the words the computation chose, where
-    another word of the same length names the same state."""
-    path = tmp_path / "g.group"
-    path.write_text("alphabet: 2\na = (0 1)(e, b)\nb = (1 0)(a, A)\n")
-    first = run(capsys, "nucleus", str(path), "--json")
-    assert first[0] == 0 and (tmp_path / "g.group.nucleus.json").exists()
-    assert run(capsys, "nucleus", str(path), "--json") == first
-
-
-@pytest.mark.parametrize("content", [
+BESIDE_FILES = [("basilica", content) for content in [
     '{"group": "', "not json at all", "[]", "",
     '{"group": "HASH", "states": "ab"}', '{"group": "HASH", "states": [5]}',
     # words under the right hash, with nucleus states missing or extra ones
-    '{"group": "HASH", "states": ["a", "b"]}', '{"group": "HASH", "states": ["a", "b", "aa"]}'])
-def test_bad_nucleus_cache_is_recomputed(capsys, tmp_path, content):
-    group = resolve_group("basilica")
-    path = tmp_path / "basilica.group"
+    '{"group": "HASH", "states": ["a", "b"]}', '{"group": "HASH", "states": ["a", "b", "aa"]}',
+    "VALID"]] + [
+    # the right states, with grigorchuk's b named by the word cd
+    ("grigorchuk", '{"group": "HASH", "alphabet": 2, "states": ["e", "a", "cd", "c", "d"]}')]
+
+
+@pytest.mark.parametrize("name, content", BESIDE_FILES, ids=[c for _, c in BESIDE_FILES])
+def test_bad_nucleus_cache_is_recomputed(capsys, tmp_path, name, content):
+    """A FILE.nucleus.json beside the group file, VALID standing for the
+    computed nucleus, is ignored: every command that takes --no-cache
+    prints what it prints with it, leaves the file as it was and writes no
+    other file."""
+    group = resolve_group(name)
+    path = tmp_path / f"{name}.group"
     path.write_text(group.to_text())
-    cache = tmp_path / "basilica.group.nucleus.json"
-    cache.write_text(content.replace("HASH", group.content_hash()))
-    code, out, _ = run(capsys, "nucleus", str(path), "--json")
-    assert code == 0
-    code, fresh, _ = run(capsys, "nucleus", str(path), "--json", "--no-cache")
-    assert code == 0 and out == fresh
-    assert json.loads(cache.read_text()) == json.loads(fresh)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "basilica.group", "basilica.group.nucleus.json"]
+    if content == "VALID":
+        content = json.dumps(compute_nucleus(group).to_json())
+    cache = tmp_path / f"{name}.group.nucleus.json"
+    cache.write_bytes(content.replace("HASH", group.content_hash()).encode())
+    before = cache.read_bytes()
+    for argv in (["nucleus"], ["nucleus", "--json"], ["limit", "--level", "2"], ["moore"],
+                 ["check"], ["abel"], ["present"]):
+        code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        assert (code, out) == run(capsys, argv[0], str(path), *argv[1:], "--no-cache")[:2]
+        if argv == ["nucleus"] and name == "grigorchuk":
+            assert "  b = ()(a, c)\n" in out
+    assert cache.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, cache.name]
 
 
-def test_nucleus_cache_load_keeps_the_budget(capsys, tmp_path):
-    path = tmp_path / "basilica.group"
-    path.write_text(resolve_group("basilica").to_text())
-    code, _, _ = run(capsys, "nucleus", str(path))
-    assert code == 0 and (tmp_path / "basilica.group.nucleus.json").exists()
-    tight = ("--budget-states", "4")
-    cached = run(capsys, "nucleus", str(path), *tight)
-    assert cached[0] == 2
-    assert cached == run(capsys, "nucleus", str(path), *tight, "--no-cache")
-
-
-def test_interrupted_cache_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "basilica.group"
-    path.write_text(resolve_group("basilica").to_text())
-    cache = tmp_path / "basilica.group.nucleus.json"
-    stale = json.dumps({"group": "a different group", "states": []})
-    cache.write_text(stale)
-
-    def failing_dump(obj, fh):
-        fh.write(json.dumps(obj)[:10])
-        raise OSError("no space left on device")
-
-    monkeypatch.setattr(json, "dump", failing_dump)
-    code, out, _ = run(capsys, "nucleus", str(path), "--json")
-    monkeypatch.undo()
-    assert code == 0
-    assert json.loads(out) == compute_nucleus(resolve_group("basilica")).to_json()
-    assert cache.read_text() == stale
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "basilica.group", "basilica.group.nucleus.json"]
+def test_check_keeps_the_budget_for_self_replication(capsys):
+    """grigorchuk's nucleus does not fit in 5 states, and the
+    self-replication search runs out of that budget too: exit 2 with
+    nothing on standard output."""
+    code, out, err = run(capsys, "check", "grigorchuk", "--budget-states", "5")
+    assert code == 2 and out == ""
+    assert "budget 5" in err
 
 
 def test_vg_verbs(capsys):
