@@ -257,13 +257,13 @@ def is_self_replicating(group: GroupDef, radius: int, budget: Budget = Budget())
     """"yes" iff for every pair of letters x, y some element of length at
     most `radius` maps x to y with trivial section there; "unknown" when
     the search ball is exhausted (the property itself is not refuted).
-    Interning past the budget raises BudgetExceeded."""
+    Interning past the budget raises BudgetExceeded, which names the search
+    and how many of its `radius` ball levels it finished."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     machine = group.machine
     d = group.d
     kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
-    gens = _generator_states(group, **kw)
     needed = {(x, y) for x in range(d) for y in range(d)}
 
     def scan(sid: int):
@@ -275,18 +275,24 @@ def is_self_replicating(group: GroupDef, radius: int, budget: Budget = Budget())
     ball = {machine.identity}
     frontier = [machine.identity]
     scan(machine.identity)
-    for _ in range(radius):
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                t = machine.product_state(s, g, **kw)
-                if t not in ball:
-                    ball.add(t)
-                    nxt.append(t)
-                    scan(t)
-                    if not needed:
-                        return "yes"
-        frontier = nxt
+    level = 0  # ball levels finished, for the budget verdict
+    try:
+        gens = _generator_states(group, **kw)
+        for level in range(radius):
+            nxt = []
+            for s in frontier:
+                for g in gens:
+                    t = machine.product_state(s, g, **kw)
+                    if t not in ball:
+                        ball.add(t)
+                        nxt.append(t)
+                        scan(t)
+                        if not needed:
+                            return "yes"
+            frontier = nxt
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"self-replication search: {exc} after {level} of "
+                             f"{radius} ball levels") from None
     return "yes" if not needed else "unknown"
 
 

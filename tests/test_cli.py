@@ -100,10 +100,11 @@ def test_bad_nucleus_cache_is_recomputed(capsys, tmp_path, name, content):
 def test_check_keeps_the_budget_for_self_replication(capsys):
     """grigorchuk's nucleus does not fit in 5 states, and the
     self-replication search runs out of that budget too: exit 2 with
-    nothing on standard output."""
+    nothing on standard output, and a verdict that names the search and
+    how many of its ball levels it finished."""
     code, out, err = run(capsys, "check", "grigorchuk", "--budget-states", "5")
     assert code == 2 and out == ""
-    assert "budget 5" in err
+    assert err == "self-replication search: state budget 5 exhausted after 0 of 4 ball levels\n"
 
 
 def test_vg_verbs(capsys):

@@ -19,7 +19,7 @@ from selfsim.nucleus import (
     length3_relations,
     section_closure,
 )
-from selfsim.ssgroup import GenWord, GroupDef
+from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef
 
 LAMPLIGHTER = "alphabet: 2\na = (0 1)(a, b)\nb = ()(a, b)\n"
 
@@ -245,6 +245,13 @@ def test_self_replicating(adding, basilica, grigorchuk):
     assert is_self_replicating(grigorchuk, 2) == "yes"
     flip = GroupDef.parse("alphabet: 2\na = (0 1)(a, a)\n")
     assert is_self_replicating(flip, 6) == "unknown"
+
+
+def test_self_replication_budget_says_how_far_the_search_got():
+    group = GroupDef.parse("alphabet: 3\na = (0 2)(e, a, a)\n")
+    with pytest.raises(BudgetExceeded, match=r"^self-replication search: state budget 10 "
+                       r"exhausted after 4 of 8 ball levels$"):
+        is_self_replicating(group, 8, Budget(max_states=10))
 
 
 def test_level_transitive(adding, grigorchuk):

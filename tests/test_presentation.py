@@ -9,6 +9,7 @@ from selfsim.nucleus import compute_nucleus
 from selfsim.presentation import (
     Relator,
     choose_ab_tables,
+    disjoint_supports,
     embedded_conjugator,
     emit_presentation,
     expected_c_count,
@@ -250,6 +251,41 @@ def test_verify_relator_agrees_with_table_equality(spec):
             probe = Relator(relator.family, relator.symbolic, table)
             assert verify_relator(probe) == (table.equals(identity) == "equal"), \
                 relator.symbolic
+
+
+@pytest.mark.parametrize(
+    "spec", ["adding", "basilica", "grigorchuk", "kneading:01", "trivial:3", "odometer3"])
+def test_support_certificate_agrees_with_the_row_check(spec):
+    """On every C relator, certifying the factors' disjoint supports gives
+    the verdict of reading the rows of the composed commutator table."""
+    group = GroupDef.parse(ODOMETER3) if spec == "odometer3" else resolve_group(spec)
+    for relator in emit_presentation(group).relators["C"]:
+        (t1, _), (t2, _) = relator.factors
+        composed = Relator("C", relator.symbolic, relator.table)
+        assert disjoint_supports(t1, t2) == verify_relator(composed), relator.symbolic
+
+
+def test_overlapping_factors_are_not_certified(adding):
+    """L@0[a] and L@00[a] overlap and do not commute: the certificate
+    refuses them and the row check on their commutator fails."""
+    p1, p2 = ((t, t.inverse()) for t in (l_of(adding, (0,), "a"), l_of(adding, (0, 0), "a")))
+    relator = Relator("C", "[L@0[a], L@00[a]]", factors=(p1, p2))
+    assert not disjoint_supports(p1[0], p2[0])
+    assert not verify_relator(relator)
+
+
+def test_verifying_c_relators_composes_no_table(monkeypatch, grigorchuk):
+    composed = []
+    compose = Table.compose
+
+    def recording(self, other):
+        composed.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(Table, "compose", recording)
+    relators = relators_C(compute_nucleus(grigorchuk))
+    assert relators and all(verify_relator(r) for r in relators)
+    assert not composed
 
 
 def test_verify_relator_undecided_matches_table_equality(grigorchuk):
