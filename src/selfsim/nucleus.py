@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 
-from .ssgroup import IDENTITY, BudgetExceeded, GenWord, GroupDef, Perm
+from .ssgroup import IDENTITY, BudgetExceeded, GenWord, GroupDef, Perm, _tarjan_sccs
 from .words import Word
 
 
@@ -216,41 +216,21 @@ def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
 def is_regular(nucleus: Nucleus) -> bool:
     """True iff the directed graph on non-identity states, with an edge
     g -> g|_x for every letter x fixed by g whose section is non-identity,
-    is acyclic.  A cycle yields arbitrarily deep fixed vertices with
-    non-identity section, and conversely."""
+    is acyclic, i.e. each of its strongly connected components is one
+    state without a self-loop.  A cycle yields arbitrarily deep fixed
+    vertices with non-identity section, and conversely."""
     e = nucleus.identity_index
-    nodes = [i for i in nucleus if i != e]
     edges = {
         i: [
             nucleus.section(i, x)
             for x in range(nucleus.group.d)
             if nucleus.perm(i)[x] == x and nucleus.section(i, x) != e
         ]
-        for i in nodes
+        for i in nucleus
+        if i != e
     }
-    color: dict[int, int] = {}
-
-    def has_cycle(start: int) -> bool:
-        stack = [(start, iter(edges[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for kid in it:
-                c = color.get(kid)
-                if c == 1:
-                    return True
-                if c is None:
-                    color[kid] = 1
-                    stack.append((kid, iter(edges[kid])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-        return False
-
-    return not any(has_cycle(i) for i in nodes if i not in color)
+    return all(len(scc) == 1 and scc[0] not in edges[scc[0]]
+               for scc in _tarjan_sccs(edges, edges.__getitem__))
 
 
 def is_self_replicating(group: GroupDef, radius: int, budget: Budget = Budget()) -> str:

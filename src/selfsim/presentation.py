@@ -10,16 +10,17 @@ evaluate to the identity:
   C: commutation of embeddings with disjoint supports, and of L(g) with a
      finite stabilizer set of the complementary cylinder;
   N: L(g1) L(g2) L(g3) for every length-at-most-3 nucleus relation;
-  S: L(g) rewritten through a level-two permutation and the embeddings of
-     its sections one level down.
+  S: L(g) rewritten through a level-two permutation, built from the
+     state's own permutation, and the embeddings of its sections one level
+     down.
 
 Soundness (every relator is the identity) is fully machine-checked.  A C
 relator is certified by disjoint supports: the non-identity rows of its two
 factors lie below prefix-incomparable words, so the factors commute, and
 its commutator table is composed only when read (for `--json`).  Any other
-relator verifies when every row of its table maps its cylinder onto itself
-by a trivial entry.  Completeness of the presentation is a theorem, not a
-computation.
+relator, S relators included, is proved by its table's own identity check:
+every row maps its cylinder onto itself by a trivial entry.  Completeness
+of the presentation is a theorem, not a computation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from .nucleus import Budget, Nucleus, compute_nucleus, length3_index_triples
-from .ssgroup import GenWord, GroupDef
+from .ssgroup import GenWord, GroupDef, Perm
 from .vg import Table, thompson_from_antichains
 from .words import Antichain, Word, coarsen, format_word, is_antichain
 
@@ -259,32 +260,22 @@ def relators_C(nucleus: Nucleus) -> list[Relator]:
     return out
 
 
-def level2_permutation(table: Table) -> Table:
-    """Check a table is a permutation of level-two cylinders and return it
-    in that shape; raises when the recursion data is inconsistent."""
-    group = table.group
-    depth = max(2, table.depth(), max(len(u) for _, _, u in table.rows))
-    full = Antichain(list(product(range(group.d), repeat=depth)), group.d)
-    t = table.refine_domain(full)
-    mapping = {}
-    for v, g, u in t.rows:
-        if g and group.is_trivial(g).status != "trivial":
-            raise ValueError("solved element is not a level-two permutation table")
-        if len(u) != len(v) or u[2:] != v[2:]:
-            raise ValueError("solved element is not a level-two permutation table")
-        if mapping.setdefault(v[:2], u[:2]) != u[:2]:
-            raise ValueError("solved element is not a level-two permutation table")
-    if sorted(mapping.values()) != sorted(mapping):
-        raise ValueError("solved element is not a level-two permutation table")
-    e = GenWord()
-    return Table._trusted(group, [(v, e, mapping[v]) for v in mapping])
+def level2_permutation(group: GroupDef, perm: Perm) -> Table:
+    """Trivial-entry level-two table sending (b, y) to (b, perm[y]) for the
+    base letter b and fixing every other level-two cylinder: the wreath
+    recursion g = perm (g|0, ..., g|d-1) read below the base letter."""
+    d, e = group.d, GenWord()
+    return Table._trusted(group, [((x, y), e, (x, perm[y]) if x == BASE_LETTER else (x, y))
+                                  for x in range(d) for y in range(d)])
 
 
 def relators_S(nucleus: Nucleus) -> list[Relator]:
     """For each nucleus state g: L(g) equals a level-two permutation times
     the embeddings of its sections below the base letter.  The permutation
-    is solved for by table division and verified structurally."""
-    d = nucleus.group.d
+    is built from the state's own permutation, and the relator is proved
+    by its own identity check."""
+    group = nucleus.group
+    d = group.d
     embed = _embeddings(nucleus)
     out = []
     for i in nucleus:
@@ -295,7 +286,7 @@ def relators_S(nucleus: Nucleus) -> list[Relator]:
             t = embed((BASE_LETTER, y), sections[y])[0]
             prod = t if prod is None else prod * t
         lg = embed((BASE_LETTER,), i)[0]
-        h = level2_permutation(lg * prod.inverse())
+        h = level2_permutation(group, nucleus.perm(i))
         whole = lg * (h * prod).inverse()
         hmap = ",".join(
             f"{format_word(v)}>{format_word(u)}" for v, _, u in h.rows if v != u
@@ -336,30 +327,17 @@ def verify_relator(relator: Relator, limit: int = 10_000) -> bool:
     """Whether the concrete table product is the identity homeomorphism.
 
     A C relator whose factors have disjoint supports is certified by
-    `disjoint_supports` without composing its table.  Otherwise every row
-    of the table must map its cylinder onto itself (the columns are
-    complete antichains, so the range word must be the domain word) by a
-    trivial entry.  The verdict is that of
-    `equals(Table.identity(...), limit)`; UndecidedError when no row is
+    `disjoint_supports` without composing its table.  Otherwise the verdict
+    is the table's `identity_verdict(limit)`; UndecidedError when no row is
     wrong but some entry ran out of budget."""
     if relator.factors is not None:
         (t1, _), (t2, _) = relator.factors
         if disjoint_supports(t1, t2):
             return True
-    group = relator.table.group
-    undecided = False
-    for v, g, u in relator.table.rows:
-        if u != v:
-            return False
-        if g:
-            status = group.is_trivial(g, limit).status
-            if status == "nontrivial":
-                return False
-            if status == "undecided":
-                undecided = True
-    if undecided:
+    verdict = relator.table.identity_verdict(limit)
+    if verdict == "undecided":
         raise UndecidedError(relator.symbolic)
-    return True
+    return verdict == "equal"
 
 
 def expected_c_count(nucleus: Nucleus, stabilizer_count: int) -> int:

@@ -345,21 +345,18 @@ class GroupDef:
 
     # -- wreath recursion ------------------------------------------------
 
-    def factor_wreath(self, sym: str, exp: int) -> tuple[Perm, tuple[GenWord, ...]]:
-        return self._factors[(sym, exp)]
-
     def wreath(self, word: GenWord) -> tuple[Perm, tuple[GenWord, ...]]:
         """Permutation and section tuple of an element, in one pass over the
         factors (rightmost acts first): track the image of every letter,
         collect each letter's section parts, and freely reduce each section
-        once at the end, as `act_letter` does for a single letter."""
+        once at the end."""
         d = self.d
         if not word.factors:
             return identity_perm(d), (IDENTITY,) * d
         images = list(range(d))
         parts: list[list[GenWord]] = [[] for _ in range(d)]
-        for sym, exp in reversed(word.factors):
-            fperm, fsecs = self.factor_wreath(sym, exp)
+        for factor in reversed(word.factors):
+            fperm, fsecs = self._factors[factor]
             for x in range(d):
                 y = images[x]
                 parts[x].append(fsecs[y])
@@ -370,31 +367,21 @@ class GroupDef:
         )
         return tuple(images), sections
 
-    def act_letter(self, word: GenWord, x: int) -> tuple[int, GenWord]:
-        """Image of one letter together with the section at that letter."""
-        y = x
-        parts: list[GenWord] = []
-        for sym, exp in reversed(word.factors):
-            fperm, fsecs = self.factor_wreath(sym, exp)
-            parts.append(fsecs[y])
-            y = fperm[y]
-        factors = tuple(f for part in reversed(parts) for f in part.factors)
-        return y, GenWord(factors)
-
     def act(self, word: GenWord, v: Word) -> Word:
         """Image of a finite word; length-preserving and prefix-compatible."""
         out = []
         cur = word
         for x in v:
-            y, cur = self.act_letter(cur, x)
-            out.append(y)
+            perm, sections = self.wreath(cur)
+            out.append(perm[x])
+            cur = sections[x]
         return tuple(out)
 
     def section(self, word: GenWord, v: Word) -> GenWord:
         """Element acting below the vertex v: g(v w) = g(v) g|_v(w)."""
         cur = word
         for x in v:
-            _, cur = self.act_letter(cur, x)
+            cur = self.wreath(cur)[1][x]
         return cur
 
     def perm_on_level(self, word: GenWord, n: int, limit: int = 1 << 20) -> Perm:

@@ -88,9 +88,6 @@ class Table:
     def domain(self) -> Antichain:
         return Antichain([r[0] for r in self.rows], self.group.d)
 
-    def depth(self) -> int:
-        return max(len(r[0]) for r in self.rows)
-
     # -- splitting ---------------------------------------------------------
 
     def _children(self, row: Row, side: int) -> list[Row]:
@@ -189,26 +186,29 @@ class Table:
                 return u + self.group.act(g, word[len(v) :])
         raise ValueError(f"{format_word(word)} is shorter than the domain antichain")
 
-    def equals(self, other: "Table", limit: int = 10_000) -> str:
-        """"equal", "different", or "undecided" (word-problem budget ran out).
-
-        Both tables are refined to a common domain; they agree exactly when
-        the refined ranges match rowwise and the entries are equal in the
-        group (distinct range words force a difference because entries act
-        onto the whole subtree).
-        """
-        if self.group is not other.group and self.group.content_hash() != other.group.content_hash():
-            raise ValueError("tables over different groups")
+    def identity_verdict(self, limit: int = 10_000) -> str:
+        """Whether the table is the identity homeomorphism: "different" at
+        the first row that does not map its cylinder onto itself (the
+        columns are complete antichains, so the range word must be the
+        domain word) by a trivial entry; otherwise "undecided" when some
+        entry ran out of word-problem budget, and "equal" when none did."""
         undecided = False
-        for (_, g1, u1), (_, g2, u2) in self._paired(self.rows, 0, other.rows, 0):
-            if u1 != u2:
+        for v, g, u in self.rows:
+            if u != v:
                 return "different"
-            res = self.group.are_equal(g1, g2, limit)
-            if res.status == "different":
-                return "different"
-            if res.status == "undecided":
-                undecided = True
+            if g:
+                status = self.group.is_trivial(g, limit).status
+                if status == "nontrivial":
+                    return "different"
+                undecided = undecided or status == "undecided"
         return "undecided" if undecided else "equal"
+
+    def equals(self, other: "Table", limit: int = 10_000) -> str:
+        """"equal", "different", or "undecided" (word-problem budget ran out):
+        the `identity_verdict` of self * other^-1.  Composing refines both
+        domains to a common one, and each composed entry is g1 g2^-1 for the
+        entries g1, g2 the two tables carry there."""
+        return (self * other.inverse()).identity_verdict(limit)
 
     # -- canonical form ------------------------------------------------------
 

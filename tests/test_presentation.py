@@ -145,21 +145,39 @@ def test_n_relator_count_matches_bruteforce(grigorchuk):
 
 
 def test_s_relator_solved_permutation(adding, grigorchuk):
+    """The level-two permutation of an S relator is built from the state's
+    own permutation: a swaps 00 and 01, d fixes level two, and the ternary
+    odometer rotates the cylinders below the base letter."""
     nucleus = compute_nucleus(adding)
     i_a = next(i for i in nucleus if str(nucleus.reps[i]) == "a")
-    secs = [nucleus.reps[nucleus.section(i_a, y)] for y in range(2)]
-    prod = l_of(adding, (0, 0), secs[0]) * l_of(adding, (0, 1), secs[1])
-    h = level2_permutation(l_of(adding, (0,), nucleus.reps[i_a]) * prod.inverse())
-    mapping = {v: u for v, _, u in h.rows}
-    assert mapping[(0, 0)] == (0, 1) and mapping[(0, 1)] == (0, 0)
-    assert mapping[(1, 0)] == (1, 0) and mapping[(1, 1)] == (1, 1)
+    h = level2_permutation(adding, nucleus.perm(i_a))
+    assert all(not g for _, g, _ in h.rows)
+    assert {v: u for v, _, u in h.rows} == {
+        (0, 0): (0, 1), (0, 1): (0, 0), (1, 0): (1, 0), (1, 1): (1, 1)}
 
     gnuc = compute_nucleus(grigorchuk)
     i_d = next(i for i in gnuc if str(gnuc.reps[i]) == "d")
-    secs = [gnuc.reps[gnuc.section(i_d, y)] for y in range(2)]
-    prod = l_of(grigorchuk, (0, 0), secs[0]) * l_of(grigorchuk, (0, 1), secs[1])
-    h = level2_permutation(l_of(grigorchuk, (0,), gnuc.reps[i_d]) * prod.inverse())
+    h = level2_permutation(grigorchuk, gnuc.perm(i_d))
     assert all(v == u for v, _, u in h.rows)  # d fixes both levels
+
+    h = level2_permutation(GroupDef.parse(ODOMETER3), (1, 2, 0))
+    assert [u for _, _, u in h.rows] == [
+        (0, 1), (0, 2), (0, 0), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("spec", ["adding", "basilica", "grigorchuk", "kneading:01", "odometer3"])
+def test_built_permutation_is_the_quotient_by_the_sections(spec):
+    """For every nucleus state g, L(g) divided by the embeddings of its
+    sections below the base letter is the built level-two permutation."""
+    group = GroupDef.parse(ODOMETER3) if spec == "odometer3" else resolve_group(spec)
+    nucleus = compute_nucleus(group)
+    for i in nucleus:
+        prod = l_of(group, (0, 0), nucleus.reps[nucleus.section(i, 0)])
+        for y in range(1, group.d):
+            prod = prod * l_of(group, (0, y), nucleus.reps[nucleus.section(i, y)])
+        quotient = l_of(group, (0,), nucleus.reps[i]) * prod.inverse()
+        assert quotient.equals(level2_permutation(group, nucleus.perm(i))) == "equal", \
+            nucleus.reps[i]
 
 
 def test_s_relator_trivial_state(adding):
@@ -168,11 +186,6 @@ def test_s_relator_trivial_state(adding):
     ident_rel = next(r for r in rels if "[e]" in r.symbolic.split("*")[0])
     assert "perm<id>" in ident_rel.symbolic
     assert verify_relator(ident_rel)
-
-
-def test_level2_permutation_rejects_nonpermutations(adding):
-    with pytest.raises(ValueError):
-        level2_permutation(Table.from_element(adding, "a"))
 
 
 def test_emission_never_asks_whether_the_empty_word_is_trivial(monkeypatch):

@@ -189,18 +189,20 @@ def _group_and_factors(group):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(WREATH_GROUPS).flatmap(_group_and_factors), st.data())
-def test_wreath_matches_act_letter(group_and_factors, data):
-    """`wreath` gives, letter by letter, exactly the image and the section
-    word of `act_letter`, and its sections multiply as the wreath product
-    says: the section of g h at x is, as a freely reduced word and not only
-    as a group element, the section of g at h(x) times that of h at x."""
+def test_wreath_matches_the_oracle_fold(group_and_factors, data):
+    """`wreath` gives, letter by letter, exactly the image letter and the
+    freely reduced continuation of the oracle's independent `step`, and its
+    sections multiply as the wreath product says: the section of g h at x
+    is, as a freely reduced word and not only as a group element, the
+    section of g at h(x) times that of h at x."""
     group, factors = group_and_factors
     w = GenWord(factors)
     for word in (w, GenWord(), w * w.inverse()):
         perm, sections = group.wreath(word)
         assert sorted(perm) == list(range(group.d))
         for x in range(group.d):
-            assert group.act_letter(word, x) == (perm[x], sections[x])
+            y, continuation = oracles.step(group, word.factors, x)
+            assert (perm[x], sections[x]) == (y, GenWord(continuation))
     cut = data.draw(st.integers(0, len(w)))
     g, h = GenWord(w.factors[:cut]), GenWord(w.factors[cut:])
     (pg, sg), (ph, sh), (pw, sw) = group.wreath(g), group.wreath(h), group.wreath(w)
