@@ -304,6 +304,21 @@ def nucleus_relation_rows(group: GroupDef, nucleus: Nucleus) -> Matrix:
     return rows
 
 
+def _one_minus_sigma(sig: Matrix, parity: list[int] | None, extra_rows: Matrix) -> AbelGroup:
+    """Cokernel of the rows e_i - sigma(e_i) stacked over `extra_rows`.  With
+    a `parity` (odd degree) one more basis vector t of order two comes
+    first: row i is e_i - (parity_i t + sigma(e_i)), the row 2t is added,
+    and the extra rows are zero on t."""
+    n = len(sig)
+    rows = [[(1 if i == j else 0) - sig[i][j] for j in range(n)] for i in range(n)]
+    if parity is None:
+        return cokernel(rows + extra_rows, n)
+    rows = [[-p] + row for p, row in zip(parity, rows)]
+    rows.append([2] + [0] * n)
+    rows += [[0] + list(r) for r in extra_rows]
+    return cokernel(rows, n + 1)
+
+
 def vg_abelianization(group: GroupDef, relations: Matrix | None = None,
                       budget: Budget = Budget()) -> AbelGroup:
     """Abelianization of the table group over a self-similar group.
@@ -325,18 +340,9 @@ def vg_abelianization(group: GroupDef, relations: Matrix | None = None,
         relations = [list(r) for r in relations]
         if any(len(r) != n for r in relations):
             raise ValueError("relation rows must match the generator count")
-    sig = sigma_matrix(group)
-    if group.d % 2 == 0:
-        rows = [[(1 if i == j else 0) - sig[i][j] for j in range(n)] for i in range(n)]
-        rows += relations
-        return cokernel(rows, n)
-    parity = sign_vector(group)
-    rows = []
-    for i in range(n):  # (1 - sigma_1) on generator i: e_i - (parity_i, sigma(e_i))
-        rows.append([-parity[i]] + [(1 if i == j else 0) - sig[i][j] for j in range(n)])
-    rows.append([2] + [0] * n)  # the extra summand has order two
-    rows += [[0] + list(r) for r in relations]
-    return cokernel(rows, n + 1)
+    return _one_minus_sigma(sigma_matrix(group), sign_vector(group) if group.d % 2 else None,
+                            relations)
+
 
 
 # -- post-critically finite rational maps -------------------------------------
@@ -375,38 +381,21 @@ class PostCriticalData:
         return sorted(y for y in self.points if self.fmap[y] == z)
 
     def cycles(self) -> list[tuple[str, ...]]:
-        """Cycles of the portrait map (the attracting cycles), each rotated
-        to start at its least point, sorted."""
-        out = []
-        seen: set[str] = set()
-        for start in self.points:
-            if start in seen:
-                continue
-            trail = []
-            pos = {}
-            z = start
-            while z not in pos and z not in seen:
-                pos[z] = len(trail)
-                trail.append(z)
-                z = self.fmap[z]
-            if z in pos:  # new cycle found
-                cyc = trail[pos[z]:]
-                k = cyc.index(min(cyc))
-                out.append(tuple(cyc[k:] + cyc[:k]))
-            seen.update(trail)
-        return sorted(out)
+        """Cycles of the portrait map (the attracting cycles): the distinct
+        `cycle_of` loops of the points, sorted."""
+        return sorted({self.cycle_of(z) for z in self.points})
 
     def cycle_of(self, z: str) -> tuple[str, ...]:
-        """The cycle the forward orbit of z falls into."""
-        cycles = {c: set(c) for c in self.cycles()}
-        seen = set()
-        while z not in seen:
-            seen.add(z)
-            for cyc, mem in cycles.items():
-                if z in mem:
-                    return cyc
+        """The cycle the forward orbit of z falls into: the orbit up to its
+        first repeated point, from that point on, rotated to start at its
+        least point."""
+        pos: dict[str, int] = {}
+        while z not in pos:
+            pos[z] = len(pos)
             z = self.fmap[z]
-        raise AssertionError("orbit left the portrait")
+        cyc = list(pos)[pos[z]:]
+        k = cyc.index(min(cyc))
+        return tuple(cyc[k:] + cyc[:k])
 
     def to_json(self) -> dict:
         return {
@@ -455,18 +444,8 @@ def rational_map_abelianization(portrait: PostCriticalData) -> AbelGroup:
     for z in pts:
         for y in portrait.preimages(z):
             sig[index[z]][index[y]] += 1
-    if not portrait.degree_odd:
-        rows = [[(1 if i == j else 0) - sig[i][j] for j in range(n)] for i in range(n)]
-        rows.append([1] * n)
-        return cokernel(rows, n)
-    rows = []
-    for z in pts:
-        i = index[z]
-        parity = 1 if z in portrait.cvmod2 else 0
-        rows.append([-parity] + [(1 if i == j else 0) - sig[i][j] for j in range(n)])
-    rows.append([2] + [0] * n)
-    rows.append([0] + [1] * n)
-    return cokernel(rows, n + 1)
+    parity = [int(z in portrait.cvmod2) for z in pts] if portrait.degree_odd else None
+    return _one_minus_sigma(sig, parity, [[1] * n])
 
 
 def predicted_rational_formula(k: int, l: int, odd_exception: bool = False) -> AbelGroup:
@@ -481,6 +460,14 @@ def predicted_rational_formula(k: int, l: int, odd_exception: bool = False) -> A
     return AbelGroup.from_factors(k - 1, factors)
 
 
+def _flag_parities(portrait: PostCriticalData) -> dict[tuple[str, ...], int]:
+    """Each cycle's parity of the number of flagged points it attracts."""
+    parity = {c: 0 for c in portrait.cycles()}
+    for z in portrait.cvmod2:
+        parity[portrait.cycle_of(z)] ^= 1
+    return parity
+
+
 def predicted_for_portrait(portrait: PostCriticalData) -> AbelGroup:
     """Apply the closed form to a portrait: k cycles, l their gcd, and the
     exception branch exactly when every cycle attracts an even number of
@@ -490,12 +477,7 @@ def predicted_for_portrait(portrait: PostCriticalData) -> AbelGroup:
     l = 0
     for c in cycles:
         l = gcd(l, len(c))
-    exception = False
-    if portrait.degree_odd:
-        attracted = {c: 0 for c in cycles}
-        for z in portrait.cvmod2:
-            attracted[portrait.cycle_of(z)] += 1
-        exception = all(v % 2 == 0 for v in attracted.values())
+    exception = portrait.degree_odd and not any(_flag_parities(portrait).values())
     return predicted_rational_formula(k, l, exception)
 
 
@@ -512,15 +494,12 @@ def formula_applies(portrait: PostCriticalData) -> bool:
     """
     if not portrait.degree_odd:
         return True
-    cycles = portrait.cycles()
-    cycset = {z for c in cycles for z in c}
-    attracted = {c: 0 for c in cycles}
-    for z in portrait.cvmod2:
-        attracted[portrait.cycle_of(z)] += 1
-    if any(v % 2 for v in attracted.values()):
+    if any(_flag_parities(portrait).values()):
         return True
+    cycles = portrait.cycles()
     if any(len(c) % 2 for c in cycles):
         return True
+    cycset = {z for c in cycles for z in c}
 
     def tail_flag_count(z: str) -> int:
         seen: set[str] = set()

@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 on success (including definite "nontrivial"/"different"
-answers), 1 on domain errors or bad usage, 2 when a verdict stayed
-undecided or a budget ran out.
+answers, and output cut short because the reader closed the pipe), 1 on
+domain errors or bad usage, 2 when a verdict stayed undecided or a budget
+ran out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalogue
@@ -30,7 +32,7 @@ from .nucleus import (
 from .presentation import UndecidedError, emit_presentation, verify_relator
 from .ssgroup import BudgetExceeded, GroupDef, perm_to_cycles
 from .vg import Table
-from .words import Antichain, m_invariant, parse_word
+from .words import Antichain, format_word, m_invariant, parse_word
 
 
 class UndecidedExit(Exception):
@@ -41,11 +43,20 @@ def _budget(args) -> Budget:
     return Budget(max_states=args.budget_states, max_depth=args.budget_depth)
 
 
-def _load_table(group: GroupDef, text: str) -> Table:
+def _read_arg(text: str) -> str:
+    """The argument itself, or with a leading "@" the file it names."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return Table.from_json(group, json.loads(text))
+            return fh.read()
+    return text
+
+
+def _load_table(group: GroupDef, text: str) -> Table:
+    return Table.from_json(group, json.loads(_read_arg(text)))
+
+
+def _print_graph(graph, fmt: str) -> None:
+    print(graph.to_dot() if fmt == "dot" else json.dumps(graph.to_json()))
 
 
 def cmd_catalogue(args) -> None:
@@ -89,8 +100,6 @@ def cmd_wp(args) -> None:
     group = catalogue.resolve_group(args.group)
     verdict = group.is_trivial(group.word(args.word), args.depth_limit)
     if verdict.status == "nontrivial":
-        from .words import format_word
-
         print(f"nontrivial (moves {format_word(verdict.witness)})")
     else:
         print(verdict.status)
@@ -115,8 +124,6 @@ def cmd_vg(args) -> None:
         print(json.dumps(_load_table(group, args.args[0]).canonical_form().to_json()))
     elif args.verb == "apply":
         t = _load_table(group, args.args[0])
-        from .words import format_word
-
         print(format_word(t.apply(parse_word(args.args[1]))))
     else:
         raise ValueError(f"unknown vg verb {args.verb!r}")
@@ -128,11 +135,7 @@ def cmd_abel(args) -> None:
 
 
 def cmd_abel_rational(args) -> None:
-    text = args.portrait
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    portrait = PostCriticalData.from_json(json.loads(text))
+    portrait = PostCriticalData.from_json(json.loads(_read_arg(args.portrait)))
     print(rational_map_abelianization(portrait))
     if args.predict:
         k, l = args.predict
@@ -159,27 +162,18 @@ def cmd_present(args) -> None:
 def cmd_limit(args) -> None:
     group = catalogue.resolve_group(args.group)
     nucleus = compute_nucleus(group, _budget(args))
-    q = quotient_graph(nucleus, args.level)
-    if args.format == "dot":
-        print(q.to_dot())
-    else:
-        print(json.dumps(q.to_json()))
+    _print_graph(quotient_graph(nucleus, args.level), args.format)
 
 
 def cmd_moore(args) -> None:
     group = catalogue.resolve_group(args.group)
     nucleus = compute_nucleus(group, _budget(args))
-    md = moore_diagram(nucleus)
-    print(md.to_dot() if args.format == "dot" else json.dumps(md.to_json()))
+    _print_graph(moore_diagram(nucleus), args.format)
 
 
 def cmd_schreier(args) -> None:
     group = catalogue.resolve_group(args.group)
-    s = schreier_graph(group, args.level)
-    if args.format == "dot":
-        print(s.to_dot())
-    else:
-        print(json.dumps(s.to_json()))
+    _print_graph(schreier_graph(group, args.level), args.format)
 
 
 def cmd_m_invariant(args) -> None:
@@ -282,11 +276,19 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         args.func(args)
+        sys.stdout.flush()
         return 0
     except (NotContractingError, UndecidedError, UndecidedExit, BudgetExceeded) as exc:
         if str(exc):
             print(str(exc), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early and what it read is correct; writes still
+        # buffered go to the null device, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

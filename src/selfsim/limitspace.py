@@ -68,13 +68,13 @@ def _labels(d: int, n: int) -> list[str]:
     return ["".join(p) for p in product([str(x) for x in range(d)], repeat=n)]
 
 
-def _moves(nucleus: Nucleus, states, n: int, limit: int):
+def _moves(nucleus: Nucleus, states, n: int):
     """Index pairs (j, k), j != k, of level-n words such that one of the
     given nucleus states carries the j-th word to the k-th."""
     def step(s):
         return nucleus.perms[s], nucleus.sections[s]
     for s in states:
-        for j, k in enumerate(level_permutation(step, s, nucleus.group.d, n, limit)):
+        for j, k in enumerate(level_permutation(step, s, nucleus.group.d, n)):
             if j != k:
                 yield j, k
 
@@ -96,14 +96,14 @@ def _components(n: int, pairs) -> list[int]:
     return [number.setdefault(find(i), len(number)) for i in range(n)]
 
 
-def level_identifications(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> set[tuple[Word, Word]]:
+def level_identifications(nucleus: Nucleus, n: int) -> set[tuple[Word, Word]]:
     """Unordered pairs of distinct level-n words carried into each other by
     a nontrivial nucleus state."""
     d = nucleus.group.d
-    check_level(d, n, limit)
+    check_level(d, n)
     words = list(product(range(d), repeat=n))  # by index
     states = (i for i in nucleus if i != nucleus.identity_index)
-    return {(words[min(j, k)], words[max(j, k)]) for j, k in _moves(nucleus, states, n, limit)}
+    return {(words[min(j, k)], words[max(j, k)]) for j, k in _moves(nucleus, states, n)}
 
 
 def cylinder_stable_states(nucleus: Nucleus) -> set[int]:
@@ -211,20 +211,20 @@ class LevelQuotient:
         return "\n".join(lines)
 
 
-def quotient_graph(nucleus: Nucleus, n: int, limit: int = 1 << 20) -> LevelQuotient:
+def quotient_graph(nucleus: Nucleus, n: int) -> LevelQuotient:
     """Classes, touching edges, and the shift map at level n."""
     d = nucleus.group.d
-    check_level(d, n, limit)
+    check_level(d, n)
     stable = cylinder_stable_states(nucleus) - {nucleus.identity_index}
-    vertex_class = _components(d ** n, _moves(nucleus, stable, n, limit))
+    vertex_class = _components(d ** n, _moves(nucleus, stable, n))
 
     states = (i for i in nucleus if i != nucleus.identity_index)
-    edges = {(a, b) if a < b else (b, a) for j, k in _moves(nucleus, states, n, limit)
+    edges = {(a, b) if a < b else (b, a) for j, k in _moves(nucleus, states, n)
              if (a := vertex_class[j]) != (b := vertex_class[k])}
 
     shift = None
     if n >= 1:
-        prev_class = _components(d ** (n - 1), _moves(nucleus, stable, n - 1, limit))
+        prev_class = _components(d ** (n - 1), _moves(nucleus, stable, n - 1))
         hits = set(zip(vertex_class, [prev_class[j // d] for j in range(d ** n)]))
         if len(hits) != max(vertex_class) + 1:  # one target per class
             raise AssertionError("shift does not descend to classes")
@@ -273,13 +273,13 @@ class SchreierGraph:
         return "\n".join(lines)
 
 
-def schreier_graph(group: GroupDef, n: int, limit: int = 1 << 20) -> SchreierGraph:
+def schreier_graph(group: GroupDef, n: int) -> SchreierGraph:
     """One edge per pair of level-n vertices that a generator moves into
     each other."""
-    check_level(group.d, n, limit)
+    check_level(group.d, n)
     labels: dict[tuple[int, int], list[str]] = {}
     for sym in sorted(group.generators):
-        perm = group.perm_on_level(GenWord([(sym, 1)]), n, limit)
+        perm = group.perm_on_level(GenWord([(sym, 1)]), n)
         for edge in {(j, k) if j < k else (k, j) for j, k in enumerate(perm) if j != k}:
             labels.setdefault(edge, []).append(sym)
     return SchreierGraph(n, group.d, labels)

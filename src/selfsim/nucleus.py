@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 
-from .ssgroup import IDENTITY, BudgetExceeded, GenWord, GroupDef, Perm, _tarjan_sccs
+from .ssgroup import IDENTITY, BudgetExceeded, GenWord, GroupDef, Perm, _tarjan_sccs, reachable
 from .words import Word
 
 
@@ -46,12 +46,12 @@ class NotContractingError(Exception):
 
 
 class Nucleus:
-    """Canonical machine states closed under sections and inverses.
+    """Canonical machine states closed under sections.
 
     States are indexed 0..size-1 in order of (representative length,
     representative string); per-state data: level-one permutation, section
-    table, inverse table, shortest known representative word.  `index`
-    maps a machine state id to its index.
+    table, shortest known representative word.  `index` maps a machine
+    state id to its index.
     """
 
     def __init__(self, group: GroupDef, state_ids):
@@ -69,7 +69,6 @@ class Nucleus:
         self.sections = tuple(
             tuple(index[kid] for kid in machine.kids[sid]) for sid in order
         )
-        self.inverses = tuple(index[machine.inverse_state(sid)] for sid in order)
         self.identity_index = index[machine.identity]
 
     def __len__(self):
@@ -134,14 +133,7 @@ def _persistent_states(kids, roots) -> set:
     A state recurs arbitrarily deep iff it has an infinite backward chain,
     i.e. iff it survives iterated peeling of states without incoming edges.
     """
-    region = set()
-    stack = list(roots)
-    while stack:
-        s = stack.pop()
-        if s in region:
-            continue
-        region.add(s)
-        stack.extend(kids[s])
+    region = reachable(kids, roots)
     indeg = {s: 0 for s in region}
     for s in region:
         for kid in kids[s]:
@@ -276,14 +268,14 @@ def is_self_replicating(group: GroupDef, radius: int, budget: Budget = Budget())
     return "yes" if not needed else "unknown"
 
 
-def is_level_transitive(group: GroupDef, n: int, limit: int = 1 << 20) -> bool:
+def is_level_transitive(group: GroupDef, n: int) -> bool:
     """Whether the generators' level-n permutations move the first vertex,
     0^n, onto every vertex of level n; transitivity there forces it on every
-    shallower level as well.  Levels above `limit` vertices and negative
-    levels raise ValueError."""
+    shallower level as well.  Negative levels and levels of more than 2^20
+    vertices (`ssgroup.check_level`) raise ValueError."""
     # without generators the identity's walk still checks the level
     words = [GenWord([(sym, 1)]) for sym in group.generators] or [IDENTITY]
-    perms = [group.perm_on_level(w, n, limit) for w in words]
+    perms = [group.perm_on_level(w, n) for w in words]
     seen = {0}
     stack = [0]
     while stack:

@@ -99,20 +99,25 @@ def perm_parity(perm: Iterable[int]) -> int:
     return parity
 
 
-def check_level(d: int, n: int, limit: int) -> None:
+# the most vertices a level may have for its whole-level action to be built
+LEVEL_VERTICES = 1 << 20
+
+
+def check_level(d: int, n: int) -> None:
     """Raise ValueError unless level n of the d-ary tree exists and has at
-    most `limit` vertices.  A level past the bit length of `limit` is
-    rejected before d ** n is built, so a huge n fails at once."""
-    if n < 0 or n > limit.bit_length() or d ** n > limit:
-        raise ValueError(f"level {n} must be at least 0 and have at most {limit} vertices")
+    most LEVEL_VERTICES (2^20) vertices.  A level past the bound's bit
+    length is rejected before d ** n is built, so a huge n fails at once."""
+    if n < 0 or n > LEVEL_VERTICES.bit_length() or d ** n > LEVEL_VERTICES:
+        raise ValueError(f"level {n} must be at least 0 and have at most "
+                         f"{LEVEL_VERTICES} vertices")
 
 
-def level_permutation(step, root, d: int, n: int, limit: int = 1 << 20) -> Perm:
+def level_permutation(step, root, d: int, n: int) -> Perm:
     """Level-n permutation, on lexicographic indices, of the automaton state
     `root`; `step(state)` gives a state's first-level permutation and its
     sections.  The walk goes down one level at a time carrying each vertex's
     image index and state, and calls `step` once per distinct state."""
-    check_level(d, n, limit)
+    check_level(d, n)
     perms, sections = {}, {}
     images, states = [0], [root]
     for _ in range(n):
@@ -253,7 +258,7 @@ class GroupDef:
                 tuple(sections[inv[x]].inverse() for x in range(d)),
             )
         self._machine: Machine | None = None
-        self._triviality: dict[str, Verdict] = {}
+        self._triviality: dict[GenWord, Verdict] = {}
 
     # -- parsing and printing -------------------------------------------
 
@@ -384,7 +389,7 @@ class GroupDef:
             cur = self.wreath(cur)[1][x]
         return cur
 
-    def perm_on_level(self, word: GenWord, n: int, limit: int = 1 << 20) -> Perm:
+    def perm_on_level(self, word: GenWord, n: int) -> Perm:
         """Permutation of the n-th level, on lexicographic indices; one
         `level_permutation` walk that folds each distinct section once.  The
         walk's states are factor tuples, which hash and compare in C; `words`
@@ -397,7 +402,7 @@ class GroupDef:
                 words.setdefault(sec.factors, sec)
             return perm, tuple(sec.factors for sec in sections)
 
-        return level_permutation(step, word.factors, self.d, n, limit)
+        return level_permutation(step, word.factors, self.d, n)
 
     # -- the word problem --------------------------------------------------
 
@@ -412,12 +417,11 @@ class GroupDef:
         word, without closing.
         """
         word = self.word(word)
-        key = str(word)
-        cached = self._triviality.get(key)
+        cached = self._triviality.get(word)
         if cached is not None:
             return cached
         longest = max(limit, len(word))
-        seen = {key}
+        seen = {word}
         queue: deque[tuple[GenWord, Word]] = deque([(word, ())])
         while queue:
             cur, path = queue.popleft()
@@ -425,19 +429,18 @@ class GroupDef:
             for x in range(self.d):
                 if perm[x] != x:
                     verdict = Verdict("nontrivial", path + (x,))
-                    self._triviality[str(cur)] = Verdict("nontrivial", (x,))
-                    self._triviality[key] = verdict
+                    self._triviality[cur] = Verdict("nontrivial", (x,))
+                    self._triviality[word] = verdict
                     return verdict
             for x, sec in enumerate(sections):
-                skey = str(sec)
-                if skey not in seen:
+                if sec not in seen:
                     if len(seen) >= limit or len(sec) > longest:
                         return Verdict("undecided")
-                    seen.add(skey)
+                    seen.add(sec)
                     queue.append((sec, path + (x,)))
         verdict = Verdict("trivial")
-        for skey in seen:
-            self._triviality[skey] = verdict
+        for sec in seen:
+            self._triviality[sec] = verdict
         return verdict
 
     def are_equal(self, g: GenWord, h: GenWord, limit: int = 10_000) -> Verdict:
@@ -656,15 +659,20 @@ class Machine:
         return ids
 
     def reachable(self, roots: Iterable[int]) -> set[int]:
-        seen = set()
-        stack = list(roots)
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            stack.extend(self.kids[s])
-        return seen
+        return reachable(self.kids, roots)
+
+
+def reachable(kids, roots) -> set:
+    """The nodes reachable from `roots` along `kids[node]`, roots included."""
+    seen = set()
+    stack = list(roots)
+    while stack:
+        s = stack.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        stack.extend(kids[s])
+    return seen
 
 
 def _tarjan_sccs(nodes, successors):

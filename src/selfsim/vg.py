@@ -213,15 +213,18 @@ class Table:
     # -- canonical form ------------------------------------------------------
 
     def canonical_form(self, nucleus: Nucleus | None = None,
-                       budget: Budget = Budget(), limit: int = 10_000) -> "Table":
+                       budget: Budget = Budget()) -> "Table":
         """Merge split sibling rows back, bottom-up, and rewrite entries to
         shortest nucleus representatives.
 
-        Merging recognizes a single element from its permutation and
-        section row among products of at most two nucleus representatives,
-        so the result is a normal form up to that search bound; table
-        equality never depends on it.  Without a computable nucleus the
-        table is returned merge-free.
+        The interning machine is minimal, so a state is named by its row:
+        its permutation and the states of its sections.  A sibling family
+        merges when its range permutation and the states of its entries are
+        the row of a product of at most two nucleus representatives, into
+        that state's representative; the result is a normal form up to that
+        search bound, and table equality never depends on it.  An entry past
+        the intern `budget` keeps its family unmerged.  Without a computable
+        nucleus the table is returned merge-free.
         """
         group = self.group
         if nucleus is None:
@@ -230,41 +233,30 @@ class Table:
             except NotContractingError:
                 return self
         machine = group.machine
-        candidates: list[tuple[GenWord, int]] = []
-        seen = set()
+        kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
+        by_row = {}
         pool = list(nucleus.reps)
         pool += [r1 * r2 for r1 in nucleus.reps for r2 in nucleus.reps]
         for w in pool:
             sid = machine.intern(w)
-            if sid not in seen:
-                seen.add(sid)
-                candidates.append((machine.reps[sid], sid))
-        candidates.sort(key=lambda c: (len(str(c[0])), str(c[0])))
+            by_row[machine.perms[sid], machine.kids[sid]] = machine.reps[sid]
 
         def merge(family: list[Row]):
             # rows sorted by domain word: entry x of perm is the image of x
             ranges = [u for _, _, u in family]
             if any(not u or u[:-1] != ranges[0][:-1] for u in ranges):
                 return None
-            perm = tuple(u[-1] for u in ranges)
-            if sorted(perm) != list(range(group.d)):
+            try:
+                kids = tuple(machine.intern(g, **kw) for _, g, _ in family)
+            except BudgetExceeded:
                 return None
-            for rep, sid in candidates:
-                if machine.perms[sid] != perm:
-                    continue
-                kids = machine.kids[sid]
-                if all(
-                    group.are_equal(machine.reps[kids[x]], family[x][1], limit).status == "equal"
-                    for x in range(group.d)
-                ):
-                    return (family[0][0][:-1], rep, ranges[0][:-1])
-            return None
+            rep = by_row.get((tuple(u[-1] for u in ranges), kids))
+            return None if rep is None else (family[0][0][:-1], rep, ranges[0][:-1])
 
         rows = []
         for v, g, u in coarsen(self.rows, group.d, lambda r: r[0], merge):
             try:
-                sid = machine.intern(g, max_states=budget.max_states,
-                                     max_depth=budget.max_depth)
+                sid = machine.intern(g, **kw)
                 if sid in nucleus.index:
                     g = machine.reps[sid]
             except BudgetExceeded:

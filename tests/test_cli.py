@@ -280,3 +280,18 @@ def test_growing_sections_exit_2(tmp_path, argv):
                           preexec_fn=_capped_address_space)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout in ("", "undecided\n") and "Traceback" not in proc.stderr
+
+
+def test_closed_output_pipe_exits_0():
+    """A reader that stops early, like `head -c`, closes the pipe while the
+    command is still writing 4.5 MB of JSON; what it read is correct, so the
+    command exits 0 with nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(selfsim.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "selfsim.cli", "schreier", "adding",
+                             "--level", "16"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(8) == b'{"level"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == b""

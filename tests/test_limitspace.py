@@ -166,14 +166,14 @@ def test_schreier_exports(grigorchuk):
 def test_level_limit_errors(adding_nucleus, trivial2):
     for n in (-1, 25):
         with pytest.raises(ValueError):
-            level_identifications(adding_nucleus, n, limit=1000)
+            level_identifications(adding_nucleus, n)
         with pytest.raises(ValueError):
-            quotient_graph(adding_nucleus, n, limit=1000)
+            quotient_graph(adding_nucleus, n)
         with pytest.raises(ValueError):
-            schreier_graph(adding_nucleus.group, n, limit=1000)
+            schreier_graph(adding_nucleus.group, n)
         for group in (adding_nucleus.group, trivial2):
             with pytest.raises(ValueError):
-                is_level_transitive(group, n, limit=1000)
+                is_level_transitive(group, n)
 
 
 def test_huge_levels_fail_at_once(adding_nucleus, trivial2):
@@ -216,7 +216,7 @@ def test_nucleus_walks_match_act(name):
         for i in nucleus:
             moved = {(j, index[nucleus.act(i, v)]) for j, v in enumerate(words)
                      if nucleus.act(i, v) != v}
-            assert set(_moves(nucleus, [i], n, 1 << 20)) == moved, (name, i, n)
+            assert set(_moves(nucleus, [i], n)) == moved, (name, i, n)
             if i != nucleus.identity_index:
                 pairs |= {(words[min(j, k)], words[max(j, k)]) for j, k in moved}
         assert level_identifications(nucleus, n) == pairs

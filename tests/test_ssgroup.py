@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from selfsim import resolve_group
-from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef
+from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef, check_level
 from selfsim.words import parse_word
 
 
@@ -116,7 +116,14 @@ def test_perm_on_level_examples(adding, grigorchuk):
     assert adding.perm_on_level(GenWord(), 3) == tuple(range(8))
     for n in (-1, 30):
         with pytest.raises(ValueError):
-            adding.perm_on_level(a, n, limit=1000)
+            adding.perm_on_level(a, n)
+
+
+def test_level_bound_is_two_to_the_twenty_vertices():
+    check_level(2, 20)
+    for d, n in ((2, 21), (3, 13)):
+        with pytest.raises(ValueError, match="at most 1048576 vertices"):
+            check_level(d, n)
 
 
 def test_is_trivial_examples(adding, grigorchuk):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import apply_word
-from selfsim import resolve_group
+from selfsim import GroupDef, resolve_group
 from selfsim.nucleus import compute_nucleus
 from selfsim.presentation import l_embed
 from selfsim.ssgroup import GenWord
@@ -18,6 +18,9 @@ from selfsim.vg import (
     thompson_from_antichains,
 )
 from selfsim.words import Antichain, parse_word
+
+
+ODOMETER3 = "alphabet: 3\na = (0 1 2)(e, e, a)\n"
 
 
 def w(s):
@@ -222,6 +225,28 @@ def test_canonical_form_idempotent(adding):
         c = t.canonical_form()
         assert t.equals(c) == "equal"
         assert c.canonical_form().rows == c.rows
+
+
+@pytest.mark.parametrize("spec", ["adding", "basilica", "grigorchuk", "kneading:01", "odometer3"])
+def test_canonical_form_equals_the_table(spec):
+    """Merging keeps the element: the canonical form of random tables, and
+    of products of two nucleus reps split at random rows, equals the table,
+    and some of those forms merge rows."""
+    group = GroupDef.parse(ODOMETER3) if spec == "odometer3" else resolve_group(spec)
+    entries = catalogue_entries(group)
+    rng = random.Random(19)
+    merged = 0
+    for i in range(30):
+        if i % 2:
+            t = random_table(rng, group, entries)
+        else:
+            t = Table.from_element(group, rng.choice(entries) * rng.choice(entries))
+            for _ in range(rng.randint(1, 4)):
+                t = t.split_row(rng.randrange(len(t.rows)))
+        c = t.canonical_form()
+        merged += len(c.rows) < len(t.rows)
+        assert c.equals(t) == "equal", (spec, t, c)
+    assert merged
 
 
 def test_canonical_form_shortens_entries(adding):
