@@ -276,22 +276,29 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         args.func(args)
-        sys.stdout.flush()
-        return 0
+        code = 0
     except (NotContractingError, UndecidedError, UndecidedExit, BudgetExceeded) as exc:
         if str(exc):
             print(str(exc), file=sys.stderr)
-        return 2
+        code = 2
     except BrokenPipeError:
-        # the reader stopped early and what it read is correct; writes still
-        # buffered go to the null device, so the flush at exit cannot fail
+        code = 0  # the reader stopped early and what it read is correct
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    _flush_stdout()
+    return code
+
+
+def _flush_stdout() -> None:
+    """Flush stdout.  If the reader has closed the pipe, what is still
+    buffered goes to the null device, so the flush at exit cannot fail."""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 0
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -222,9 +222,11 @@ class Table:
         merges when its range permutation and the states of its entries are
         the row of a product of at most two nucleus representatives, into
         that state's representative; the result is a normal form up to that
-        search bound, and table equality never depends on it.  An entry past
-        the intern `budget` keeps its family unmerged.  Without a computable
-        nucleus the table is returned merge-free.
+        search bound, and table equality never depends on it.  Each entry may
+        add up to `budget.max_states` states to the group's machine, however
+        many the candidate pool put there; an entry past that keeps its
+        family unmerged.  Without a computable nucleus the table is returned
+        merge-free.
         """
         group = self.group
         if nucleus is None:
@@ -233,30 +235,39 @@ class Table:
             except NotContractingError:
                 return self
         machine = group.machine
-        kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
         by_row = {}
         pool = list(nucleus.reps)
         pool += [r1 * r2 for r1 in nucleus.reps for r2 in nucleus.reps]
         for w in pool:
             sid = machine.intern(w)
             by_row[machine.perms[sid], machine.kids[sid]] = machine.reps[sid]
+        pool_perms = {perm for perm, _ in by_row}
+
+        def state(g: GenWord) -> int:
+            # the intern budget counts the whole machine, which the pool may
+            # already have taken past budget.max_states
+            return machine.intern(g, max_states=len(machine) + budget.max_states,
+                                  max_depth=budget.max_depth)
 
         def merge(family: list[Row]):
             # rows sorted by domain word: entry x of perm is the image of x
             ranges = [u for _, _, u in family]
             if any(not u or u[:-1] != ranges[0][:-1] for u in ranges):
                 return None
+            perm = tuple(u[-1] for u in ranges)
+            if perm not in pool_perms:
+                return None
             try:
-                kids = tuple(machine.intern(g, **kw) for _, g, _ in family)
+                kids = tuple(state(g) for _, g, _ in family)
             except BudgetExceeded:
                 return None
-            rep = by_row.get((tuple(u[-1] for u in ranges), kids))
+            rep = by_row.get((perm, kids))
             return None if rep is None else (family[0][0][:-1], rep, ranges[0][:-1])
 
         rows = []
         for v, g, u in coarsen(self.rows, group.d, lambda r: r[0], merge):
             try:
-                sid = machine.intern(g, **kw)
+                sid = state(g)
                 if sid in nucleus.index:
                     g = machine.reps[sid]
             except BudgetExceeded:

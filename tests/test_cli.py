@@ -295,3 +295,19 @@ def test_closed_output_pipe_exits_0():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0, err
     assert err == b""
+
+
+def test_closed_output_pipe_keeps_undecided_exit_code():
+    """An undecided verdict still exits 2 when the reader has closed the
+    pipe before the verdict line is flushed, with nothing on stderr.  The
+    child's stdout is block-buffered, as a pipe is by default, so the line
+    is still buffered when the command ends."""
+    env = dict(os.environ, PYTHONPATH=str(Path(selfsim.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "selfsim.cli", "wp", "grigorchuk",
+                             "adadadad", "--depth-limit", "3"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2, err
+    assert err == b""
