@@ -262,12 +262,10 @@ def cokernel(rows: Matrix, ncols: int) -> AbelGroup:
 # -- the section-sum endomorphism ---------------------------------------------
 
 def ab_vector(group: GroupDef, word: GenWord) -> list[int]:
-    """Exponent sums of a word over the generator basis."""
-    vec = [0] * len(group.generators)
-    index = {sym: i for i, sym in enumerate(group.generators)}
-    for sym, exp in word.factors:
-        vec[index[sym]] += exp
-    return vec
+    """Exponent sums of a word over the generator basis: each generator's
+    letters less its inverse's."""
+    word = group.word(word)
+    return [word.text.count(sym) - word.text.count(sym.upper()) for sym in group.generators]
 
 
 def sigma_matrix(group: GroupDef) -> Matrix:

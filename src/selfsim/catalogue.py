@@ -60,19 +60,18 @@ def trivial_group(d: int) -> GroupDef:
     return GroupDef(d, {}, name=f"trivial:{d}")
 
 
+_BUILTINS = {"adding": ADDING_MACHINE, "basilica": BASILICA, "grigorchuk": GRIGORCHUK}
+
+
 def builtin_groups() -> dict[str, GroupDef]:
-    return {
-        "adding": GroupDef.parse(ADDING_MACHINE, name="adding"),
-        "basilica": GroupDef.parse(BASILICA, name="basilica"),
-        "grigorchuk": GroupDef.parse(GRIGORCHUK, name="grigorchuk"),
-    }
+    return {name: GroupDef.parse(text, name=name) for name, text in _BUILTINS.items()}
 
 
 def resolve_group(spec: str) -> GroupDef:
-    """Look up a catalogue name, kneading:BITS, trivial:D, or a file path."""
-    builtins = builtin_groups()
-    if spec in builtins:
-        return builtins[spec]
+    """Look up a catalogue name, kneading:BITS, trivial:D, or a file path;
+    only the group returned is parsed."""
+    if spec in _BUILTINS:
+        return GroupDef.parse(_BUILTINS[spec], name=spec)
     if spec.startswith("kneading:"):
         return kneading_group(spec.split(":", 1)[1])
     if spec.startswith("trivial:"):

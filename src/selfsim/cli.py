@@ -35,10 +35,6 @@ from .vg import Table
 from .words import Antichain, format_word, m_invariant, parse_word
 
 
-class UndecidedExit(Exception):
-    """Raised to signal exit code 2 from subcommands."""
-
-
 def _budget(args) -> Budget:
     return Budget(max_states=args.budget_states, max_depth=args.budget_depth)
 
@@ -96,18 +92,15 @@ def cmd_check(args) -> None:
     print("\n".join(lines))
 
 
-def cmd_wp(args) -> None:
+def cmd_wp(args) -> tuple[str, int]:
     group = catalogue.resolve_group(args.group)
     verdict = group.is_trivial(group.word(args.word), args.depth_limit)
     if verdict.status == "nontrivial":
-        print(f"nontrivial (moves {format_word(verdict.witness)})")
-    else:
-        print(verdict.status)
-    if verdict.status == "undecided":
-        raise UndecidedExit
+        return f"nontrivial (moves {format_word(verdict.witness)})", 0
+    return verdict.status, 2 if verdict.status == "undecided" else 0
 
 
-def cmd_vg(args) -> None:
+def cmd_vg(args) -> tuple[str, int] | None:
     group = catalogue.resolve_group(args.group)
     if args.verb == "mul":
         t = _load_table(group, args.args[0]) * _load_table(group, args.args[1])
@@ -117,9 +110,7 @@ def cmd_vg(args) -> None:
     elif args.verb == "eq":
         status = _load_table(group, args.args[0]).equals(
             _load_table(group, args.args[1]), args.depth_limit)
-        print(status)
-        if status == "undecided":
-            raise UndecidedExit
+        return status, 2 if status == "undecided" else 0
     elif args.verb == "canon":
         print(json.dumps(_load_table(group, args.args[0]).canonical_form().to_json()))
     elif args.verb == "apply":
@@ -274,15 +265,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
+    code = 0
     try:
-        args.func(args)
-        code = 0
-    except (NotContractingError, UndecidedError, UndecidedExit, BudgetExceeded) as exc:
+        verdict = args.func(args)
+        if verdict is not None:
+            # a verdict line comes with its exit code, which is set before
+            # the line is written, so a failed write cannot change it
+            line, code = verdict
+            print(line)
+    except (NotContractingError, UndecidedError, BudgetExceeded) as exc:
         if str(exc):
             print(str(exc), file=sys.stderr)
         code = 2
     except BrokenPipeError:
-        code = 0  # the reader stopped early and what it read is correct
+        pass  # the reader stopped early and what it read is correct
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1

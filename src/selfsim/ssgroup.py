@@ -2,11 +2,12 @@
 
 A group is given by finitely many generators, each carrying a permutation
 of the alphabet and a tuple of section words: g(x w) = perm(x) section_x(w).
-Elements are freely reduced words over the generators (GenWord).  Actions
-and sections on finite words are evaluated by folding the wreath product
-multiplication over the factors in one pass, collecting each letter's
-section parts and freely reducing each section once at the end, so the
-fold is linear in the word length; the action on a whole level is one
+Elements are freely reduced words over the generators (GenWord), each one
+string in which an uppercase letter is an inverse.  Actions and sections on
+finite words are evaluated by one walk over the letters through a step
+table of the wreath product multiplication, collecting each letter's
+section pieces and freely reducing each section once at the end, so the
+walk is linear in the word length; the action on a whole level is one
 walk down the tree that steps each distinct section once; triviality and
 equality are decided coinductively over the (possibly infinite) automaton
 of sections, and a bisimulation-based interning machine assigns
@@ -133,22 +134,23 @@ def level_permutation(step, root, d: int, n: int) -> Perm:
 class GenWord:
     """Freely reduced word over generator symbols; the element representation.
 
-    Factors are (symbol, +1 or -1) pairs; adjacent cancelling pairs are
-    removed on construction.  The empty word is the identity.
+    The word is one string, `text`: a lowercase letter is a generator and
+    its uppercase letter that generator's inverse, so no "aA" or "Aa" stands
+    next to each other.  The empty word is the identity.  Equality, hashing
+    and length are the string's own; `factors` is a (symbol, +1 or -1) view.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("text",)
 
     def __init__(self, factors=()):
-        reduced: list[tuple[str, int]] = []
+        letters = []
         for sym, exp in factors:
             if exp not in (1, -1):
                 raise ValueError("factor exponents must be +1 or -1")
-            if reduced and reduced[-1][0] == sym and reduced[-1][1] == -exp:
-                reduced.pop()
-            else:
-                reduced.append((sym, exp))
-        self.factors = tuple(reduced)
+            if not (isinstance(sym, str) and sym.isascii() and sym.islower() and len(sym) == 1):
+                raise ValueError(f"factor symbol {sym!r} is not one lowercase letter")
+            letters.append(sym if exp == 1 else sym.upper())
+        self.text = _reduce("".join(letters))
 
     @classmethod
     def parse(cls, text: str) -> "GenWord":
@@ -156,51 +158,92 @@ class GenWord:
         "e" = identity; whitespace optional."""
         if not isinstance(text, str):
             raise ValueError(f"not a word: {text!r}")
-        factors = []
-        for token in text.split():
-            for ch in token:
-                if ch == "e":
-                    continue
-                if ch.islower():
-                    factors.append((ch, 1))
-                elif ch.isupper():
-                    factors.append((ch.lower(), -1))
-                else:
+        letters = "".join(text.split()).replace("e", "")
+        if not (letters.isascii() and letters.isalpha()):
+            for ch in letters:
+                if not (ch.islower() or ch.isupper()):
                     raise ValueError(f"bad symbol {ch!r} in word {text!r}")
-        return cls(factors)
+            # the Kelvin sign is the one non-ASCII letter whose lowercase,
+            # k, can be a generator name
+            letters = letters.replace("\u212a", "K")
+        return _word(_reduce(letters))
+
+    @property
+    def factors(self) -> tuple[tuple[str, int], ...]:
+        return tuple((ch.lower(), 1 if ch.islower() else -1) for ch in self.text)
 
     # words are immutable, so a product with the identity can share its operand
     def inverse(self) -> "GenWord":
-        if not self.factors:
-            return self
-        return GenWord(tuple((s, -e) for s, e in reversed(self.factors)))
+        return _word(self.text[::-1].swapcase()) if self.text else self
 
     def __mul__(self, other: "GenWord") -> "GenWord":
-        if not other.factors:
+        """Both operands are reduced, so letters cancel only at the seam."""
+        a, b = self.text, other.text
+        if not b:
             return self
-        if not self.factors:
+        if not a:
             return other
-        return GenWord(self.factors + other.factors)
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k] == b[k].swapcase():
+            k += 1
+        return _word(a[:len(a) - k] + b[k:])
 
     def __len__(self):
-        return len(self.factors)
+        return len(self.text)
 
     def __bool__(self):
-        return bool(self.factors)
+        return bool(self.text)
 
     def __eq__(self, other):
-        return isinstance(other, GenWord) and self.factors == other.factors
+        return isinstance(other, GenWord) and self.text == other.text
 
     def __hash__(self):
-        return hash(self.factors)
+        return hash(self.text)
 
     def __str__(self):
-        if not self.factors:
-            return "e"
-        return "".join(s if e > 0 else s.upper() for s, e in self.factors)
+        return self.text or "e"
 
     def __repr__(self):
         return f"GenWord({str(self)!r})"
+
+
+def _word(text: str) -> GenWord:
+    """The GenWord of a text that is already freely reduced."""
+    w = object.__new__(GenWord)
+    w.text = text
+    return w
+
+
+# the most deletion passes `_reduce` makes before it walks the word once
+_PASSES = 8
+
+
+def _reduce(text: str, pairs: frozenset[str] | None = None) -> str:
+    """Free reduction: delete cancelling pairs such as "aA" and "Aa" until
+    none is left.  `pairs` holds the pairs that can occur, by default those
+    of the text's letters: a letter and its uppercase cancel.  Each pass
+    deletes every pair it finds, inside `str.replace`; cancellations that
+    nest deeper than `_PASSES` passes, as in a long conjugate u r u^-1 with
+    r trivial, are finished by one walk with a stack."""
+    if len(text) < 2:
+        return text
+    if pairs is None:
+        letters = set(text)
+        pairs = frozenset(p for ch in letters if ch.isupper() and ch.lower() in letters
+                          and ch.lower().islower() for p in (ch.lower() + ch, ch + ch.lower()))
+    for _ in range(_PASSES):
+        n = len(text)
+        for p in pairs:
+            text = text.replace(p, "")
+        if len(text) == n:
+            return text
+    out: list[str] = []
+    for ch in text:
+        if out and out[-1] + ch in pairs:
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
 
 
 IDENTITY = GenWord()
@@ -247,16 +290,19 @@ class GroupDef:
                 for t, _ in s.factors:
                     if t not in rec:
                         raise ValueError(f"section of {sym!r} uses undeclared symbol {t!r}")
-        # inverse recursions materialized up front: perm inverted, section at
+        # each letter's recursion, a generator's and its inverse's, with the
+        # sections as texts: the inverse has the inverted permutation, and at
         # x the inverse of the section at the preimage letter
-        self._factors: dict[tuple[str, int], tuple[Perm, tuple[GenWord, ...]]] = {}
+        self._factors: dict[str, tuple[Perm, tuple[str, ...]]] = {}
         for sym, (perm, sections) in rec.items():
-            self._factors[(sym, 1)] = (perm, sections)
+            self._factors[sym] = (perm, tuple(s.text for s in sections))
             inv = invert_perm(perm)
-            self._factors[(sym, -1)] = (
-                inv,
-                tuple(sections[inv[x]].inverse() for x in range(d)),
-            )
+            self._factors[sym.upper()] = (
+                inv, tuple(sections[inv[x]].inverse().text for x in range(d)))
+        self._letters = "".join(self._factors)
+        self._pairs = frozenset(p for sym in rec for p in (sym + sym.upper(), sym.upper() + sym))
+        # the step table of `wreath`, one dict per tuple of letter images
+        self._steps: dict[Perm, dict] = {identity_perm(d): {}}
         self._machine: Machine | None = None
         self._triviality: dict[GenWord, Verdict] = {}
 
@@ -343,34 +389,45 @@ class GroupDef:
     def word(self, text_or_word) -> GenWord:
         """Coerce to a GenWord and validate its symbols against this group."""
         w = text_or_word if isinstance(text_or_word, GenWord) else GenWord.parse(text_or_word)
-        for sym, _ in w.factors:
-            if sym not in self.recursion:
-                raise ValueError(f"unknown generator {sym!r}")
+        unknown = w.text.lstrip(self._letters)  # from the first unknown letter on
+        if unknown:
+            raise ValueError(f"unknown generator {unknown[0].lower()!r}")
         return w
 
     # -- wreath recursion ------------------------------------------------
 
     def wreath(self, word: GenWord) -> tuple[Perm, tuple[GenWord, ...]]:
-        """Permutation and section tuple of an element, in one pass over the
-        factors (rightmost acts first): track the image of every letter,
-        collect each letter's section parts, and freely reduce each section
-        once at the end."""
+        """Permutation and section tuple of an element, in one walk over the
+        letters, rightmost first (it acts first).
+
+        The walk's state is the tuple of images of all d letters under the
+        letters read so far.  A step table, made once per group and filled
+        as steps are first met, maps a state and a letter to the next state
+        and to the d pieces the letter adds to the sections: at x, the
+        letter's section at the current image of x.  The pieces of each
+        section are joined once and freely reduced once.  The table holds
+        at most |<level-1 permutations>| states and 2k steps per state, for
+        k generators.
+        """
         d = self.d
-        if not word.factors:
+        if not word.text:
             return identity_perm(d), (IDENTITY,) * d
-        images = list(range(d))
-        parts: list[list[GenWord]] = [[] for _ in range(d)]
-        for factor in reversed(word.factors):
-            fperm, fsecs = self._factors[factor]
-            for x in range(d):
-                y = images[x]
-                parts[x].append(fsecs[y])
-                images[x] = fperm[y]
-        sections = tuple(
-            GenWord(tuple(f for part in reversed(p) for f in part.factors))
-            for p in parts
-        )
-        return tuple(images), sections
+        images = identity_perm(d)
+        steps = self._steps[images]
+        taken: list[str] = []
+        for ch in reversed(word.text):
+            try:
+                steps, images, pieces = steps[ch]
+            except KeyError:  # a step met for the first time
+                fperm, fsecs = self._factors[ch]
+                nxt = tuple(fperm[y] for y in images)
+                steps[ch] = (self._steps.setdefault(nxt, {}), nxt, tuple(fsecs[y] for y in images))
+                steps, images, pieces = steps[ch]
+            taken += pieces
+        taken.reverse()  # the piece of section x of the i-th letter is at d * i + d - 1 - x
+        pairs = self._pairs
+        return images, tuple(_word(_reduce("".join(taken[x::d]), pairs))
+                             for x in reversed(range(d)))
 
     def act(self, word: GenWord, v: Word) -> Word:
         """Image of a finite word; length-preserving and prefix-compatible."""
@@ -392,17 +449,12 @@ class GroupDef:
     def perm_on_level(self, word: GenWord, n: int) -> Perm:
         """Permutation of the n-th level, on lexicographic indices; one
         `level_permutation` walk that folds each distinct section once.  The
-        walk's states are factor tuples, which hash and compare in C; `words`
-        maps each back to the section word `wreath` folds."""
-        words = {word.factors: word}
+        walk's states are the words' texts, which hash and compare in C."""
+        def step(text):
+            perm, sections = self.wreath(_word(text))
+            return perm, tuple(sec.text for sec in sections)
 
-        def step(factors):
-            perm, sections = self.wreath(words[factors])
-            for sec in sections:
-                words.setdefault(sec.factors, sec)
-            return perm, tuple(sec.factors for sec in sections)
-
-        return level_permutation(step, word.factors, self.d, n)
+        return level_permutation(step, word.text, self.d, n)
 
     # -- the word problem --------------------------------------------------
 

@@ -23,6 +23,30 @@ def _invert(perm):
     return tuple(out)
 
 
+def free_reduce(factors):
+    """Free reduction of (symbol, +1 or -1) pairs the slow way: delete the
+    first adjacent cancelling pair, and start over, until none is left."""
+    out = list(factors)
+    while True:
+        for i in range(len(out) - 1):
+            (s, e), (t, f) = out[i], out[i + 1]
+            if s == t and e == -f:
+                del out[i:i + 2]
+                break
+        else:
+            return tuple(out)
+
+
+def invert_factors(factors):
+    return [(s, -e) for s, e in reversed(factors)]
+
+
+def factors_text(factors):
+    """A word as printed: a generator's letter, its inverse's in uppercase,
+    and "e" for the identity."""
+    return "".join(s if e == 1 else s.upper() for s, e in factors) or "e"
+
+
 def step(group, factors, letter):
     """(image letter, continuation factors) for one input letter."""
     y = letter

@@ -29,6 +29,33 @@ def test_wp_examples(capsys):
     assert code == 0 and out.startswith("nontrivial")
 
 
+ODOMETER3 = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer3.txt")
+
+
+@pytest.mark.parametrize("group, word, code, expected", [
+    # an unknown symbol is named as the first one in the reduced word
+    ("odometer3", "CCB", 1, "error: unknown generator 'c'\n"),
+    ("grigorchuk", "zi", 1, "error: unknown generator 'z'\n"),
+    ("grigorchuk", "a\u00e9", 1, "error: unknown generator '\u00e9'\n"),
+    ("grigorchuk", "a\u00df", 1, "error: unknown generator '\u00df'\n"),
+    # the dotted capital I lowercases to two code points, an i and a dot
+    ("grigorchuk", "\u0130", 1, "error: unknown generator 'i\u0307'\n"),
+    ("grigorchuk", "z\u0130", 1, "error: unknown generator 'z'\n"),
+    ("grigorchuk", "a1", 1, "error: bad symbol '1' in word 'a1'\n"),
+    ("grigorchuk", "aE", 1, "error: unknown generator 'e'\n"),
+    # symbols that cancel away are never looked up
+    ("adding", "xXa", 0, "nontrivial (moves 0)\n"),
+    ("adding", "a\u00e9\u00c9", 0, "nontrivial (moves 0)\n"),
+    ("adding", "a\u00df\u1e9e", 0, "nontrivial (moves 0)\n"),
+    # the Kelvin sign lowercases to k, so it is the inverse of k
+    ("kneading:000000000", "k\u212a", 0, "trivial\n"),
+    ("kneading:000000000", "\u212a", 0, "nontrivial (moves 0000000000)\n"),
+])
+def test_wp_word_errors(capsys, group, word, code, expected):
+    got, out, err = run(capsys, "wp", ODOMETER3 if group == "odometer3" else group, word)
+    assert (got, out + err) == (code, expected)
+
+
 def test_abel_examples(capsys):
     code, out, _ = run(capsys, "abel", "grigorchuk")
     assert code == 0 and out.strip() == "trivial group"
@@ -307,6 +334,25 @@ def test_closed_output_pipe_keeps_undecided_exit_code():
     proc = subprocess.Popen([sys.executable, "-m", "selfsim.cli", "wp", "grigorchuk",
                              "adadadad", "--depth-limit", "3"], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2, err
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["wp", "grigorchuk", "adadadad", "--depth-limit", "3"],
+    ["vg", "grigorchuk", "eq", '{"domain":["e"],"entries":["adadadad"],"range":["e"]}',
+     '{"domain":["e"],"entries":["e"],"range":["e"]}', "--depth-limit", "3"],
+])
+def test_closed_unbuffered_output_pipe_keeps_undecided_exit_code(argv):
+    """The unbuffered twin of the test above: with PYTHONUNBUFFERED the
+    verdict line is written at once, so the write itself fails on the closed
+    pipe.  The exit code is still 2, with nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(selfsim.__file__).parents[1]),
+               PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-m", "selfsim.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2, err

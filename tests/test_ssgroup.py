@@ -19,6 +19,86 @@ def test_genword_reduction():
     assert str(GenWord.parse("b D C")) == "bDC"
     assert GenWord.parse("ab").inverse() == GenWord.parse("BA")
     assert GenWord.parse("a") * GenWord.parse("A") == GenWord()
+    for bad in ([("a", 2)], [("A", 1)], [("ab", 1)], [("\u00e9", -1)]):
+        with pytest.raises(ValueError):
+            GenWord(bad)
+
+
+_FACTOR = st.tuples(st.sampled_from("abcd"), st.sampled_from((1, -1)))
+_FACTORS = st.lists(_FACTOR, max_size=40)
+
+
+@st.composite
+def _cancelling_factors(draw):
+    """Factor lists, unreduced, that cancel heavily: a random list, w w^-1,
+    or a conjugate u r u^-1."""
+    w = draw(_FACTORS)
+    kind = draw(st.sampled_from(("random", "inverse", "conjugate")))
+    if kind == "inverse":
+        return w + oracles.invert_factors(w)
+    if kind == "conjugate":
+        return w + draw(st.lists(_FACTOR, max_size=4)) + oracles.invert_factors(w)
+    return w
+
+
+def _spelled(factors, noise):
+    """The text of a factor list, with "e" and blanks where `noise` says."""
+    out = []
+    for (s, e), extra in zip(factors, noise + [""] * len(factors)):
+        out.append(extra + (s if e == 1 else s.upper()))
+    return "".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cancelling_factors(), _cancelling_factors(),
+       st.lists(st.sampled_from(("", "", "e", " ")), max_size=80), st.data())
+def test_genword_agrees_with_the_oracle_reduction(f, g, noise, data):
+    """parse, the pair constructor, inverse, *, len, str, == and hash agree
+    with the oracle's free reduction, also when a product cancels across
+    the seam: h = g' v, where g' inverts a suffix of f."""
+    wf = GenWord.parse(_spelled(f, noise))
+    rf = oracles.free_reduce(f)
+    assert wf.factors == rf
+    assert GenWord(f) == wf and hash(GenWord(f)) == hash(wf)
+    assert (len(wf), str(wf)) == (len(rf), oracles.factors_text(rf))
+    assert wf.inverse().factors == oracles.free_reduce(oracles.invert_factors(f))
+    cut = data.draw(st.integers(0, len(f)))
+    h = oracles.invert_factors(f[cut:]) + g
+    for other in (g, h):
+        wo = GenWord.parse(_spelled(other, []))
+        ro = oracles.free_reduce(other)
+        assert (wf * wo).factors == oracles.free_reduce(f + other)
+        assert (wf == wo) == (rf == ro)
+        if rf == ro:
+            assert hash(wf) == hash(wo)
+
+
+STEP_GROUPS = [resolve_group("adding"), resolve_group("basilica"), resolve_group("grigorchuk"),
+               resolve_group("kneading:001"), GroupDef.parse("alphabet: 3\na = (0 1 2)(e, e, a)\n")]
+
+
+@st.composite
+def _group_and_word(draw):
+    """A group of STEP_GROUPS and an unreduced factor list over it: random,
+    or a conjugate u r u^-1, whose sections cancel deeply."""
+    group = draw(st.sampled_from(STEP_GROUPS))
+    factor = st.tuples(st.sampled_from(group.generators), st.sampled_from((1, -1)))
+    u = draw(st.lists(factor, max_size=120))
+    if draw(st.booleans()):
+        return group, u
+    return group, u + draw(st.lists(factor, max_size=6)) + oracles.invert_factors(u)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_group_and_word())
+def test_wreath_matches_the_oracle_step(group_and_word):
+    """At every letter x, `wreath` gives the image letter of the oracle's
+    `step` and the oracle's continuation, freely reduced by the oracle."""
+    group, factors = group_and_word
+    perm, sections = group.wreath(GenWord(factors))
+    for x in range(group.d):
+        y, continuation = oracles.step(group, oracles.free_reduce(factors), x)
+        assert (perm[x], sections[x].factors) == (y, oracles.free_reduce(continuation))
 
 
 def test_parse_group_adding(adding):
