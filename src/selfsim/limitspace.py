@@ -9,7 +9,10 @@ be reached backwards along every letter; those pairs are folded into the
 vertex classes, the rest become edges.  Dropping the last letter is the
 finite shadow of the shift map and descends to classes.  The action of a
 nucleus state or a generator on a whole level is one `level_permutation`
-walk, read on the lexicographic indices of that level's words.
+walk, read on the lexicographic indices of that level's words; a vertex
+whose section is the identity leaves that walk with its whole subtree.
+A level quotient walks each nontrivial nucleus state once, at level n, and
+reads the level n - 1 action it needs for the shift off that walk.
 
 Vertices are those indices throughout: the j-th word of level n is j
 written in base d with n digits, and dropping its last letter gives
@@ -68,20 +71,28 @@ def _labels(d: int, n: int) -> list[str]:
     return ["".join(p) for p in product([str(x) for x in range(d)], repeat=n)]
 
 
+def _walk(nucleus: Nucleus, s: int, n: int) -> tuple[int, ...]:
+    """Level-n permutation of nucleus state s, on lexicographic indices; the
+    identity state's subtrees leave the walk."""
+    def step(t):
+        return nucleus.perms[t], nucleus.sections[t]
+    return level_permutation(step, s, nucleus.group.d, n, nucleus.identity_index)
+
+
 def _moves(nucleus: Nucleus, states, n: int):
     """Index pairs (j, k), j != k, of level-n words such that one of the
     given nucleus states carries the j-th word to the k-th."""
-    def step(s):
-        return nucleus.perms[s], nucleus.sections[s]
     for s in states:
-        for j, k in enumerate(level_permutation(step, s, nucleus.group.d, n)):
+        for j, k in enumerate(_walk(nucleus, s, n)):
             if j != k:
                 yield j, k
 
 
 def _components(n: int, pairs) -> list[int]:
     """Union-find over 0..n-1 joined along the index pairs; the component
-    of each element, numbered in order of their least elements."""
+    of each element, numbered in order of their least elements.  When no
+    pair joins two elements, each is its own component and the numbering
+    is returned at once."""
     parent = list(range(n))
 
     def find(i):
@@ -90,8 +101,14 @@ def _components(n: int, pairs) -> list[int]:
             i = parent[i]
         return i
 
+    joined = False
     for i, j in pairs:
-        parent[find(i)] = find(j)
+        a, b = find(i), find(j)
+        if a != b:
+            parent[a] = b
+            joined = True
+    if not joined:
+        return parent
     number: dict[int, int] = {}
     return [number.setdefault(find(i), len(number)) for i in range(n)]
 
@@ -139,13 +156,18 @@ class LevelQuotient:
     edges: frozenset[tuple[int, int]]
     shift: tuple[int, ...] | None  # class index at level n-1
 
+    def _by_class(self, items) -> list[list]:
+        """Items given one per vertex index, gathered by class in index
+        order."""
+        out: list[list] = [[] for _ in range(max(self.vertex_class) + 1)]
+        for item, c in zip(items, self.vertex_class):
+            out[c].append(item)
+        return out
+
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Each class's vertex indices, ascending."""
-        classes: list[list[int]] = [[] for _ in range(max(self.vertex_class) + 1)]
-        for j, c in enumerate(self.vertex_class):
-            classes[c].append(j)
-        return tuple(map(tuple, classes))
+        return tuple(map(tuple, self._by_class(range(len(self.vertex_class)))))
 
     @cached_property
     def blocks(self) -> tuple[tuple[Word, ...], ...]:
@@ -191,19 +213,17 @@ class LevelQuotient:
         )
 
     def to_json(self) -> dict:
-        names = _labels(self.d, self.level)
         return {
             "level": self.level,
-            "classes": [[names[j] for j in cls] for cls in self.classes],
-            "edges": sorted([i, j] for i, j in self.edges),
+            "classes": self._by_class(_labels(self.d, self.level)),
+            "edges": [list(e) for e in sorted(self.edges)],
             "shift": list(self.shift) if self.shift is not None else None,
         }
 
     def to_dot(self) -> str:
-        names = _labels(self.d, self.level)
         lines = ["graph levelquotient {"]
-        for i, cls in enumerate(self.classes):
-            label = ",".join(names[j] for j in cls)
+        for i, names in enumerate(self._by_class(_labels(self.d, self.level))):
+            label = ",".join(names)
             lines.append(f'  n{i} [label="{label}"];')
         for i, j in sorted(self.edges):
             lines.append(f"  n{i} -- n{j};")
@@ -212,23 +232,38 @@ class LevelQuotient:
 
 
 def quotient_graph(nucleus: Nucleus, n: int) -> LevelQuotient:
-    """Classes, touching edges, and the shift map at level n."""
+    """Classes, touching edges, and the shift map at level n.
+
+    Each nontrivial nucleus state is walked once, at level n.  The walks of
+    the cylinder-stable states give the vertex classes, and also the
+    classes one level up: such a state carries the (j // d)-th word of
+    level n - 1 to the (P[j] // d)-th, so reading P at j = 0, d, 2d, ...
+    is its level n - 1 permutation.  A stable state only joins vertices it
+    has fused, so the edges come from the other states' walks alone."""
     d = nucleus.group.d
     check_level(d, n)
     stable = cylinder_stable_states(nucleus) - {nucleus.identity_index}
-    vertex_class = _components(d ** n, _moves(nucleus, stable, n))
+    walks = [_walk(nucleus, s, n) for s in sorted(stable)]
+    vertex_class = _components(d ** n, ((j, k) for walk in walks
+                                        for j, k in enumerate(walk) if j != k))
 
-    states = (i for i in nucleus if i != nucleus.identity_index)
-    edges = {(a, b) if a < b else (b, a) for j, k in _moves(nucleus, states, n)
-             if (a := vertex_class[j]) != (b := vertex_class[k])}
+    edges = set()
+    for s in nucleus:
+        if s != nucleus.identity_index and s not in stable:
+            image_class = map(vertex_class.__getitem__, _walk(nucleus, s, n))
+            edges.update((a, b) if a < b else (b, a)
+                         for a, b in zip(vertex_class, image_class) if a != b)
 
     shift = None
     if n >= 1:
-        prev_class = _components(d ** (n - 1), _moves(nucleus, stable, n - 1))
-        hits = set(zip(vertex_class, [prev_class[j // d] for j in range(d ** n)]))
-        if len(hits) != max(vertex_class) + 1:  # one target per class
+        prev_class = _components(d ** (n - 1), ((j, k) for walk in walks
+                                                for j in range(d ** (n - 1))
+                                                if (k := walk[j * d] // d) != j))
+        below = [prev_class[j // d] for j in range(d ** n)]
+        if len(set(zip(vertex_class, below))) != max(vertex_class) + 1:  # one target per class
             raise AssertionError("shift does not descend to classes")
-        shift = tuple(t for _, t in sorted(hits))
+        # classes are numbered by least vertex, so in order of first appearance
+        shift = tuple(dict(zip(vertex_class, below)).values())
     return LevelQuotient(n, d, tuple(vertex_class), frozenset(edges), shift)
 
 

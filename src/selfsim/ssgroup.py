@@ -8,7 +8,8 @@ finite words are evaluated by one walk over the letters through a step
 table of the wreath product multiplication, collecting each letter's
 section pieces and freely reducing each section once at the end, so the
 walk is linear in the word length; the action on a whole level is one
-walk down the tree that steps each distinct section once; triviality and
+walk down the tree that steps each distinct section once and writes a
+trivial section's whole subtree at once; triviality and
 equality are decided coinductively over the (possibly infinite) automaton
 of sections, and a bisimulation-based interning machine assigns
 canonical state ids so that repeated section and equality queries are
@@ -113,22 +114,53 @@ def check_level(d: int, n: int) -> None:
                          f"{LEVEL_VERTICES} vertices")
 
 
-def level_permutation(step, root, d: int, n: int) -> Perm:
+def level_permutation(step, root, d: int, n: int, identity) -> Perm:
     """Level-n permutation, on lexicographic indices, of the automaton state
     `root`; `step(state)` gives a state's first-level permutation and its
-    sections.  The walk goes down one level at a time carrying each vertex's
-    image index and state, and calls `step` once per distinct state."""
+    sections, and `identity` is the state that acts trivially.
+
+    The walk goes down one level at a time carrying each vertex's image
+    index and state, and calls `step` once per distinct state, never on
+    `identity`.  A vertex whose state is `identity` leaves the walk: its
+    image index m, moved down by the s = d^(levels left) vertices below
+    it, fills its whole subtree at once, out[i*s : i*s + s] = m*s .. m*s +
+    s - 1, and nothing is written when m is the vertex i itself.  So a
+    bounded automaton walks only the few vertices with a nontrivial
+    section.  Until the first vertex leaves, the walk carries no vertex
+    list, and the test for `identity` is one lookup in the dict of distinct
+    states it builds anyway: a root whose sections are never `identity`
+    costs one list comprehension per level, as a walk without the test."""
     check_level(d, n)
     perms, sections = {}, {}
     images, states = [0], [root]
-    for _ in range(n):
-        for s in dict.fromkeys(states):
+    vertices = out = None  # the walked vertices and the output, once one leaves
+    for level in range(n):
+        distinct = dict.fromkeys(states)
+        if identity in distinct:
+            if vertices is None:
+                vertices, out = range(len(states)), list(range(d ** n))
+            size = d ** (n - level)
+            for i, m, s in zip(vertices, images, states):
+                if s == identity and m != i:
+                    out[i * size:i * size + size] = range(m * size, m * size + size)
+            live = [k for k, s in enumerate(states) if s != identity]
+            vertices = [vertices[k] for k in live]
+            images = [images[k] for k in live]
+            states = [states[k] for k in live]
+            del distinct[identity]
+        for s in distinct:
             if s not in perms:
                 perms[s], sections[s] = step(s)
         images = [j * d + y for j, perm in zip(images, map(perms.__getitem__, states))
                   for y in perm]
         states = list(chain.from_iterable(map(sections.__getitem__, states)))
-    return tuple(images)
+        if vertices is not None:
+            vertices = [i * d + x for i in vertices for x in range(d)]
+    if out is None:
+        return tuple(images)
+    for i, m in zip(vertices, images):
+        out[i] = m
+    return tuple(out)
 
 
 class GenWord:
@@ -449,12 +481,13 @@ class GroupDef:
     def perm_on_level(self, word: GenWord, n: int) -> Perm:
         """Permutation of the n-th level, on lexicographic indices; one
         `level_permutation` walk that folds each distinct section once.  The
-        walk's states are the words' texts, which hash and compare in C."""
+        walk's states are the words' texts, which hash and compare in C; a
+        section that reduces to the empty word leaves the walk."""
         def step(text):
             perm, sections = self.wreath(_word(text))
             return perm, tuple(sec.text for sec in sections)
 
-        return level_permutation(step, word.text, self.d, n)
+        return level_permutation(step, word.text, self.d, n, "")
 
     # -- the word problem --------------------------------------------------
 

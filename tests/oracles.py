@@ -292,3 +292,74 @@ def abelian_invariants(rows, ncols):
         rank = k
     factors = [divisors[i + 1] // divisors[i] for i in range(rank)]
     return ncols - rank, tuple(sorted(f for f in factors if f > 1))
+
+
+
+def nucleus_automaton(group, level=None):
+    """(states as factor tuples, section table by state index, identity
+    index) of `nucleus`, with each section found by its signature on the
+    same level."""
+    if level is None:
+        level = max(10, 2 * len(group.generators))
+    states = list(nucleus(group, level).values())
+    by_sig = {signature(group, fs, level): k for k, fs in enumerate(states)}
+    kids = [[by_sig[signature(group, section_of(group, fs, x), level)] for x in range(group.d)]
+            for fs in states]
+    return states, kids, by_sig[identity_signature(group, level)]
+
+
+def level_quotient(group, n, automaton=None):
+    """Level-n quotient of the limit space from first principles: (blocks,
+    edges, shift), where blocks are the classes of level-n words in order
+    of their least word, edges the pairs (i, j), i < j, of classes that a
+    nontrivial nucleus state carries one into the other, and shift the
+    class of each block's words with the last letter dropped (None at
+    level 0).
+
+    The nucleus is `automaton`, by default `nucleus_automaton(group)`; a
+    test asking for many levels passes it in to build it once.  The
+    cylinder-stable states are the largest set in which every state is,
+    along every letter, the section of some state of the set; words that
+    such a state carries into each other are one class."""
+    states, kids, identity = automaton or nucleus_automaton(group)
+    stable = set(range(len(states)))
+    while True:
+        keep = {s for s in stable
+                if all(any(kids[h][x] == s for h in stable) for x in range(group.d))}
+        if keep == stable:
+            break
+        stable = keep
+    stable.discard(identity)
+
+    def classes(m):
+        words = list(product(range(group.d), repeat=m))
+        root = {v: v for v in words}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for s in stable:
+            for v in words:
+                root[find(v)] = find(apply_word(group, states[s], v))
+        blocks: dict = {}
+        for v in words:  # words in lexicographic order
+            blocks.setdefault(find(v), []).append(v)
+        blocks = [tuple(b) for b in blocks.values()]
+        return blocks, {v: i for i, b in enumerate(blocks) for v in b}
+
+    blocks, class_of = classes(n)
+    edges = set()
+    for s in range(len(states)):
+        if s != identity:
+            for v in class_of:
+                i, j = class_of[v], class_of[apply_word(group, states[s], v)]
+                if i != j:
+                    edges.add((min(i, j), max(i, j)))
+    shift = None
+    if n >= 1:
+        _, below = classes(n - 1)
+        shift = tuple(below[b[0][:-1]] for b in blocks)
+        assert all(below[v[:-1]] == shift[i] for i, b in enumerate(blocks) for v in b)
+    return blocks, edges, shift

@@ -9,6 +9,7 @@ prints.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -223,3 +224,43 @@ def test_ternary_odometer_presentation_is_byte_identical(capsys, tmp_path):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "39d1e3b918eaa9570e3001128203d8af7856ea5e8a1eacde164c4505bb2be103")
+
+
+# groups whose level quotients fuse vertex classes; "{group}" stands for the
+# group file under tests/groups
+GROUPS = Path(__file__).parent / "groups"
+FUSED_GOLDEN = [
+    ("flip.txt", "limit {group} --level 3",
+     "0e317e081219ffe8a2fdff7004b97735ed8869bb03f731925ad334f61caaca6d"),
+    ("flip.txt", "limit {group} --level 3 --format dot",
+     "7704cc31c4b59996a933fe889d695c653aa340e30647a210f47ee6f2f2f957cd"),
+    ("flip.txt", "limit {group} --level 9",
+     "0a47baf2ca958d0e059d984685d8356026d9501e63ec374eeef9fd4918baf2b9"),
+    ("flip.txt", "limit {group} --level 9 --format dot",
+     "caf064d026ded95a29ac07640d428396123cea13f559c5997801a7cbb8e60c9f"),
+    ("flip.txt", "schreier {group} --level 6",
+     "42788175032de51d2aef0d27d974016fd6e99244d6ab0a5cc938c548859548c3"),
+    ("flip.txt", "schreier {group} --level 6 --format dot",
+     "c4bfe76323042bb01b2768199c4152cf4eddf1b991344adf86da474a6f0d7f73"),
+    ("rotation3.txt", "limit {group} --level 3",
+     "156c81daa9213248bfaf225ee99937530e272e01380633f9973c8828d98b961e"),
+    ("rotation3.txt", "limit {group} --level 3 --format dot",
+     "a81c81ba324f5f84eaa7597505b88592682bee3d022e24a94c5aa8c691ec7636"),
+    ("rotation3.txt", "limit {group} --level 9",
+     "4299d8d66b1135c8adf2fa000d5564b7461509092301c0b71a892f2255de44b4"),
+    ("rotation3.txt", "limit {group} --level 9 --format dot",
+     "cf7903d99e7285438da682033b4070bdc1bd440e700a764f90ac26581a1b9fd0"),
+    ("rotation3.txt", "schreier {group} --level 6",
+     "316d8747dca02038ec5c3d0731b7b58ce4bb8a4fb042edb517a5e9cf7ecbb2c4"),
+    ("rotation3.txt", "schreier {group} --level 6 --format dot",
+     "86e032546fa29d9765ca5f5c911a255f1e195d2ce7806167aa5efc832f970167"),
+]
+
+
+@pytest.mark.parametrize("name,command,digest", FUSED_GOLDEN,
+                         ids=[command.format(group=name) for name, command, _ in FUSED_GOLDEN])
+def test_fused_class_output_is_byte_identical(capsys, name, command, digest):
+    code = main(command.format(group=GROUPS / name).split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from selfsim import resolve_group
 from selfsim.limitspace import (
     _moves,
@@ -17,6 +18,15 @@ from selfsim.nucleus import compute_nucleus, is_level_transitive
 from selfsim.ssgroup import GroupDef
 
 ODOMETER3_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer3.txt")
+# groups with cylinder-stable states, so level quotients fuse vertex classes
+FLIP = "alphabet: 2\na = (0 1)(a, a)\n"
+SWAP = "alphabet: 2\na = (0 1)(b, b)\nb = ()(a, a)\n"
+ROTATION3 = "alphabet: 3\na = (0 1 2)(a, a, a)\n"
+FUSED_GROUPS = [FLIP, SWAP, ROTATION3]
+
+
+def _group(spec):
+    return GroupDef.parse(spec) if spec.startswith("alphabet") else resolve_group(spec)
 
 
 def test_moore_diagram_examples(adding_nucleus, grigorchuk_nucleus, trivial2):
@@ -61,7 +71,7 @@ def test_identification_count_bound(grigorchuk_nucleus, basilica_nucleus):
 def test_cylinder_stable_states(adding_nucleus, grigorchuk_nucleus):
     assert cylinder_stable_states(adding_nucleus) == {adding_nucleus.identity_index}
     assert cylinder_stable_states(grigorchuk_nucleus) == {grigorchuk_nucleus.identity_index}
-    flip = GroupDef.parse("alphabet: 2\na = (0 1)(a, a)\n")
+    flip = GroupDef.parse(FLIP)
     fnuc = compute_nucleus(flip)
     assert cylinder_stable_states(fnuc) == set(range(len(fnuc)))
 
@@ -91,7 +101,7 @@ def test_quotient_graph_trivial(trivial2):
 
 
 def test_quotient_graph_fused_classes():
-    flip = GroupDef.parse("alphabet: 2\na = (0 1)(a, a)\n")
+    flip = GroupDef.parse(FLIP)
     nucleus = compute_nucleus(flip)
     q = quotient_graph(nucleus, 3)
     assert len(q.blocks) == 4
@@ -191,7 +201,7 @@ def test_huge_levels_fail_at_once(adding_nucleus, trivial2):
 
 
 def test_class_of(basilica_nucleus):
-    flip = compute_nucleus(GroupDef.parse("alphabet: 2\na = (0 1)(a, a)\n"))
+    flip = compute_nucleus(GroupDef.parse(FLIP))
     for nucleus in (basilica_nucleus, flip, compute_nucleus(resolve_group(ODOMETER3_FILE))):
         for n in range(4):
             q = quotient_graph(nucleus, n)
@@ -204,11 +214,12 @@ def test_class_of(basilica_nucleus):
                     q.class_of(bad)
 
 
-@pytest.mark.parametrize("name", ["adding", "basilica", "grigorchuk", ODOMETER3_FILE])
+@pytest.mark.parametrize("name", ["adding", "basilica", "grigorchuk", ODOMETER3_FILE]
+                         + FUSED_GROUPS)
 def test_nucleus_walks_match_act(name):
     """Each nucleus state's level walk moves exactly the words `Nucleus.act`
     moves, to the same images, and `level_identifications` pairs them up."""
-    nucleus = compute_nucleus(resolve_group(name))
+    nucleus = compute_nucleus(_group(name))
     for n in range(7):
         words = list(product(range(nucleus.group.d), repeat=n))
         index = {v: i for i, v in enumerate(words)}
@@ -220,3 +231,20 @@ def test_nucleus_walks_match_act(name):
             if i != nucleus.identity_index:
                 pairs |= {(words[min(j, k)], words[max(j, k)]) for j, k in moved}
         assert level_identifications(nucleus, n) == pairs
+
+
+@pytest.mark.parametrize("name", ["adding", "basilica", "grigorchuk", "kneading:01",
+                                  ODOMETER3_FILE] + FUSED_GROUPS)
+def test_quotient_graph_matches_the_oracle(name):
+    """Classes, edges and shift agree with `oracles.level_quotient`, which
+    builds them word by word from its own nucleus and stable set."""
+    group = _group(name)
+    nucleus = compute_nucleus(group)
+    # 3^6 words tell these ternary states apart, at a 27th of the default cost
+    automaton = oracles.nucleus_automaton(group, 6 if group.d == 3 else None)
+    for n in range(8):
+        q = quotient_graph(nucleus, n)
+        blocks, edges, shift = oracles.level_quotient(group, n, automaton)
+        assert q.blocks == tuple(blocks), (name, n)
+        assert q.edges == edges, (name, n)
+        assert q.shift == shift, (name, n)

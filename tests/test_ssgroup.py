@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from selfsim import resolve_group
-from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef, check_level
+from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef, check_level, level_permutation
 from selfsim.words import parse_word
 
 
@@ -343,8 +343,13 @@ def test_witness_words_are_valid(basilica):
 
 ODOMETER3_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer3.txt")
 
+LAMPLIGHTER = "alphabet: 2\na = (0 1)(a, b)\nb = ()(a, b)\n"
+FLIP = "alphabet: 2\na = (0 1)(a, a)\n"
+# the last two have no section that is the identity, so their walks never
+# drop a subtree
 LEVEL_GROUPS = [resolve_group("grigorchuk"), resolve_group("basilica"),
-                resolve_group(ODOMETER3_FILE)]
+                resolve_group(ODOMETER3_FILE), GroupDef.parse(LAMPLIGHTER),
+                GroupDef.parse(FLIP)]
 
 
 def _short_word(group):
@@ -364,7 +369,37 @@ def test_perm_on_level_matches_oracle(group_and_factors, n):
     assert group.perm_on_level(GenWord(factors), n) == expect
 
 
-LAMPLIGHTER = "alphabet: 2\na = (0 1)(a, b)\nb = ()(a, b)\n"
+def test_level_permutation_edge_cases():
+    """An identity root acts as the identity on every level, and level 0 is
+    the one vertex, the root."""
+    def step(state):
+        raise AssertionError("no state needs a step")
+
+    for d, n in ((2, 0), (2, 5), (3, 4)):
+        assert level_permutation(step, "e", d, n, "e") == tuple(range(d ** n))
+    assert level_permutation(step, "a", 2, 0, "e") == (0,)
+
+
+@pytest.mark.parametrize("spec", ["grigorchuk", "basilica", "adding", ODOMETER3_FILE,
+                                  LAMPLIGHTER])
+def test_level_walk_steps_each_state_once(spec):
+    """The walk asks for each distinct state's permutation and sections at
+    most once, and never for the identity's: a vertex that reaches the
+    identity leaves the walk with its whole subtree."""
+    group = GroupDef.parse(spec) if spec.startswith("alphabet") else resolve_group(spec)
+    for sym in group.generators:
+        calls = []
+
+        def step(text):
+            calls.append(text)
+            perm, sections = group.wreath(GenWord.parse(text or "e"))
+            return perm, tuple(sec.text for sec in sections)
+
+        n = 8
+        perm = level_permutation(step, sym, group.d, n, "")
+        assert perm == group.perm_on_level(group.word(sym), n)
+        assert len(calls) == len(set(calls)), (spec, sym)
+        assert "" not in calls, (spec, sym)
 MACHINE_GROUPS = ["grigorchuk", "basilica", "kneading:000", "kneading:0101",
                   TERNARY_ODOMETER, LAMPLIGHTER]
 
