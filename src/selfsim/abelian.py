@@ -317,29 +317,20 @@ def _one_minus_sigma(sig: Matrix, parity: list[int] | None, extra_rows: Matrix) 
     return cokernel(rows, n + 1)
 
 
-def vg_abelianization(group: GroupDef, relations: Matrix | None = None,
-                      budget: Budget = Budget()) -> AbelGroup:
+def vg_abelianization(group: GroupDef, budget: Budget = Budget()) -> AbelGroup:
     """Abelianization of the table group over a self-similar group.
 
     The group abelianization is presented as the free abelian group on the
-    generators modulo `relations` (default: abelianized nucleus relations of
-    length at most 3, which presents the finitely presented cover; the two
-    agree whenever no nontrivial nucleus state dies in the faithful
-    action, which holds by construction: machine states are bisimulation
-    classes, so only the identity state acts trivially).  Even alphabet: cokernel of
+    generators modulo the abelianized nucleus relations of length at most
+    3, which present the finitely presented cover.  The two agree whenever
+    no nontrivial nucleus state dies in the faithful action, which holds by
+    construction: machine states are bisimulation classes, so only the
+    identity state acts trivially.  Even alphabet: cokernel of
     1 - sigma stacked over the relations.  Odd alphabet: one extra basis
     vector t of order two, with sigma extended by the permutation parity.
     """
-    n = len(group.generators)
-    if relations is None:
-        nucleus = compute_nucleus(group, budget)
-        relations = nucleus_relation_rows(group, nucleus)
-    else:
-        relations = [list(r) for r in relations]
-        if any(len(r) != n for r in relations):
-            raise ValueError("relation rows must match the generator count")
     return _one_minus_sigma(sigma_matrix(group), sign_vector(group) if group.d % 2 else None,
-                            relations)
+                            nucleus_relation_rows(group, compute_nucleus(group, budget)))
 
 
 
@@ -425,6 +416,8 @@ class PostCriticalData:
             cvmod2=frozenset(cvmod2),
         )
         for z, ys in preimages.items():
+            if z not in pcd.fmap:
+                raise ValueError(f"preimage list for {z!r}, which is not a portrait point")
             if sorted(ys) != pcd.preimages(z):
                 raise ValueError(f"preimage list for {z!r} contradicts the map")
         return pcd

@@ -100,7 +100,15 @@ def cmd_wp(args) -> tuple[str, int]:
     return verdict.status, 2 if verdict.status == "undecided" else 0
 
 
+# how many table (or word) arguments each vg verb takes
+_VG_ARITY = {"mul": 2, "inv": 1, "eq": 2, "canon": 1, "apply": 2}
+
+
 def cmd_vg(args) -> tuple[str, int] | None:
+    n = _VG_ARITY[args.verb]
+    if len(args.args) != n:
+        raise ValueError(f"{args.verb} takes {n} argument{'s' if n > 1 else ''}, "
+                         f"got {len(args.args)}")
     group = catalogue.resolve_group(args.group)
     if args.verb == "mul":
         t = _load_table(group, args.args[0]) * _load_table(group, args.args[1])
@@ -113,11 +121,9 @@ def cmd_vg(args) -> tuple[str, int] | None:
         return status, 2 if status == "undecided" else 0
     elif args.verb == "canon":
         print(json.dumps(_load_table(group, args.args[0]).canonical_form().to_json()))
-    elif args.verb == "apply":
+    else:  # apply
         t = _load_table(group, args.args[0])
         print(format_word(t.apply(parse_word(args.args[1]))))
-    else:
-        raise ValueError(f"unknown vg verb {args.verb!r}")
 
 
 def cmd_abel(args) -> None:
@@ -127,10 +133,13 @@ def cmd_abel(args) -> None:
 
 def cmd_abel_rational(args) -> None:
     portrait = PostCriticalData.from_json(json.loads(_read_arg(args.portrait)))
-    print(rational_map_abelianization(portrait))
+    # both answers are computed before either is printed, so a bad
+    # prediction argument exits with nothing on standard output
+    lines = [str(rational_map_abelianization(portrait))]
     if args.predict:
         k, l = args.predict
-        print(f"predicted: {predicted_rational_formula(k, l, args.odd_exception)}")
+        lines.append(f"predicted: {predicted_rational_formula(k, l, args.odd_exception)}")
+    print("\n".join(lines))
 
 
 def cmd_present(args) -> None:

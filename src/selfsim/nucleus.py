@@ -288,24 +288,27 @@ def is_level_transitive(group: GroupDef, n: int) -> bool:
     return len(seen) == len(perms[0])
 
 
+def nucleus_products(nucleus: Nucleus) -> list[int]:
+    """Machine states of the products of two nucleus states, i acting after
+    j: pair (i, j) at index i*|N| + j.  They are interned in that order,
+    which fixes the reps of the states they create."""
+    machine = nucleus.group.machine
+    return [machine.product_state(i, j) for i in nucleus.ids for j in nucleus.ids]
+
+
 def length3_index_triples(nucleus: Nucleus) -> list[tuple[int, int, int]]:
     """All ordered state triples whose product is trivial; padding by the
     identity captures the length-1 and length-2 relations.
 
     A triple (i, j, k) multiplies to the identity exactly when the product
-    state of i and j is the inverse state of k, so only pair products are
-    ever interned.
+    state of i and j, read off `nucleus_products`, is the inverse state of
+    k, so only pair products are ever interned.
     """
     machine = nucleus.group.machine
     inverse_of = {machine.inverse_state(nucleus.ids[k]): k for k in nucleus}
-    out = []
-    for i in nucleus:
-        for j in nucleus:
-            ij = machine.product_state(nucleus.ids[i], nucleus.ids[j])
-            k = inverse_of.get(ij)
-            if k is not None:
-                out.append((i, j, k))
-    return out
+    n = len(nucleus)
+    return [(p // n, p % n, inverse_of[s])
+            for p, s in enumerate(nucleus_products(nucleus)) if s in inverse_of]
 
 
 def length3_relations(nucleus: Nucleus) -> list[tuple[GenWord, GenWord, GenWord]]:

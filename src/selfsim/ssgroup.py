@@ -391,27 +391,6 @@ class GroupDef:
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
-    def to_json(self) -> dict:
-        return {
-            "alphabet": self.d,
-            "generators": [
-                {
-                    "name": sym,
-                    "perm": list(self.recursion[sym][0]),
-                    "sections": [str(s) for s in self.recursion[sym][1]],
-                }
-                for sym in self.generators
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, name: str | None = None) -> "GroupDef":
-        recursion = {
-            g["name"]: (tuple(g["perm"]), tuple(GenWord.parse(s) for s in g["sections"]))
-            for g in data["generators"]
-        }
-        return cls(data["alphabet"], recursion, name=name)
-
     def __repr__(self):
         label = self.name or ",".join(self.generators) or "trivial"
         return f"GroupDef({label}, d={self.d})"

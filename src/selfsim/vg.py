@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import itemgetter
 
-from .nucleus import Budget, Nucleus, NotContractingError, compute_nucleus
+from .nucleus import Budget, NotContractingError, compute_nucleus, nucleus_products
 from .ssgroup import BudgetExceeded, GenWord, GroupDef, perm_parity
 from .words import (
     Antichain,
@@ -212,67 +212,49 @@ class Table:
 
     # -- canonical form ------------------------------------------------------
 
-    def canonical_form(self, nucleus: Nucleus | None = None,
-                       budget: Budget = Budget()) -> "Table":
+    def canonical_form(self, budget: Budget = Budget()) -> "Table":
         """Merge split sibling rows back, bottom-up, and rewrite entries to
         shortest nucleus representatives.
 
         The interning machine is minimal, so a state is named by its row:
-        its permutation and the states of its sections.  A sibling family
-        merges when its range permutation and the states of its entries are
-        the row of a product of at most two nucleus representatives, into
-        that state's representative; the result is a normal form up to that
-        search bound, and table equality never depends on it.  Each entry may
-        add up to `budget.max_states` states to the group's machine, however
-        many the candidate pool put there; an entry past that keeps its
-        family unmerged.  Without a computable nucleus the table is returned
+        its permutation and the states of its sections.  Each entry is
+        interned once, and a sibling family merges when its range
+        permutation and the states of its entries are the row of a nucleus
+        state or of a product of two (`nucleus_products`), into that state's
+        representative; the result is a normal form up to that search bound,
+        and table equality never depends on it.  Each entry may add up to
+        `budget.max_states` states to the group's machine, however many the
+        products put there; an entry past that keeps its word and its family
+        unmerged.  Without a computable nucleus the table is returned
         merge-free.
         """
         group = self.group
-        if nucleus is None:
-            try:
-                nucleus = compute_nucleus(group, budget)
-            except NotContractingError:
-                return self
+        try:
+            nucleus = compute_nucleus(group, budget)
+        except NotContractingError:
+            return self
         machine = group.machine
-        by_row = {}
-        pool = list(nucleus.reps)
-        pool += [r1 * r2 for r1 in nucleus.reps for r2 in nucleus.reps]
-        for w in pool:
-            sid = machine.intern(w)
-            by_row[machine.perms[sid], machine.kids[sid]] = machine.reps[sid]
-        pool_perms = {perm for perm, _ in by_row}
+        by_row = {(machine.perms[s], machine.kids[s]): s
+                  for s in (*nucleus.ids, *nucleus_products(nucleus))}
 
-        def state(g: GenWord) -> int:
-            # the intern budget counts the whole machine, which the pool may
-            # already have taken past budget.max_states
-            return machine.intern(g, max_states=len(machine) + budget.max_states,
-                                  max_depth=budget.max_depth)
+        def state(g: GenWord) -> int | None:
+            try:
+                return machine.intern(g, max_states=len(machine) + budget.max_states,
+                                      max_depth=budget.max_depth)
+            except BudgetExceeded:
+                return None
 
-        def merge(family: list[Row]):
-            # rows sorted by domain word: entry x of perm is the image of x
-            ranges = [u for _, _, u in family]
+        def merge(family):
+            # items sorted by domain word: entry x of perm is the image of x
+            ranges = [u for _, _, u, _ in family]
             if any(not u or u[:-1] != ranges[0][:-1] for u in ranges):
                 return None
-            perm = tuple(u[-1] for u in ranges)
-            if perm not in pool_perms:
-                return None
-            try:
-                kids = tuple(state(g) for _, g, _ in family)
-            except BudgetExceeded:
-                return None
-            rep = by_row.get((perm, kids))
-            return None if rep is None else (family[0][0][:-1], rep, ranges[0][:-1])
+            s = by_row.get((tuple(u[-1] for u in ranges), tuple(it[3] for it in family)))
+            return None if s is None else (family[0][0][:-1], machine.reps[s], ranges[0][:-1], s)
 
-        rows = []
-        for v, g, u in coarsen(self.rows, group.d, lambda r: r[0], merge):
-            try:
-                sid = state(g)
-                if sid in nucleus.index:
-                    g = machine.reps[sid]
-            except BudgetExceeded:
-                pass
-            rows.append((v, g, u))
+        items = [(v, g, u, state(g)) for v, g, u in self.rows]
+        rows = [(v, machine.reps[s] if s in nucleus.index else g, u)
+                for v, g, u, s in coarsen(items, group.d, itemgetter(0), merge)]
         return Table._trusted(group, rows)
 
     # -- invariants ----------------------------------------------------------

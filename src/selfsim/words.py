@@ -219,13 +219,6 @@ class Antichain:
     def __repr__(self):
         return f"Antichain([{', '.join(format_word(w) for w in self.words)}], d={self.d})"
 
-    def to_json(self) -> list[str]:
-        return [format_word(w) for w in self.words]
-
-    @classmethod
-    def from_json(cls, data, d: int) -> "Antichain":
-        return cls([parse_word(s) for s in data], d)
-
 
 def common_refinement(a1: Antichain, a2: Antichain) -> Antichain:
     """Coarsest complete antichain refining two complete antichains.

@@ -10,6 +10,7 @@ import oracles
 from selfsim import kneading_group, resolve_group
 from selfsim.abelian import (
     AbelGroup,
+    _one_minus_sigma,
     PostCriticalData,
     ab_vector,
     cokernel,
@@ -230,18 +231,13 @@ def test_vg_abelianization_not_contracting_propagates():
         vg_abelianization(lamp)
 
 
-def test_vg_abelianization_custom_relations(adding):
-    # forcing a = 0 by hand kills everything
-    assert vg_abelianization(adding, relations=[[1]]) == AbelGroup(0)
-
-
 def test_vg_abelianization_odd_alphabet():
     # one rotation generator on three letters with itself below each branch:
     # sigma multiplies by 3, the rotation is even, so the cokernel of
     # 1 - sigma on one generator is Z/2Z from the parity summand and
     # Z/(3-1)Z = Z/2Z from 1-3 = -2 on the generator
     g = GroupDef.parse("alphabet: 3\na = (0 1 2)(a, a, a)\n")
-    got = vg_abelianization(g, relations=[])
+    got = _one_minus_sigma(sigma_matrix(g), sign_vector(g), [])
     assert got == AbelGroup.from_factors(0, [2, 2])
 
 

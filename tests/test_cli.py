@@ -156,6 +156,18 @@ def test_vg_apply_rejects_a_letter_outside_the_alphabet(capsys):
         assert code == 1 and out == "" and "letter 2" in err
 
 
+@pytest.mark.parametrize("verb,given", [("mul", 1), ("eq", 1), ("apply", 1), ("mul", 3),
+                                        ("inv", 2), ("canon", 2)])
+def test_vg_checks_its_argument_count(capsys, verb, given):
+    """A verb given too few or too many arguments exits 1, prints nothing on
+    standard output and names both counts."""
+    a = json.dumps({"domain": ["e"], "entries": ["a"], "range": ["e"]})
+    code, out, err = run(capsys, "vg", "adding", verb, *[a] * given)
+    want = 1 if verb in ("inv", "canon") else 2
+    assert (code, out) == (1, "")
+    assert err == f"error: {verb} takes {want} argument{'s' if want > 1 else ''}, got {given}\n"
+
+
 def test_check_with_a_bad_argument_prints_nothing(capsys):
     for flag in ("--level", "--radius"):
         code, out, err = run(capsys, "check", "adding", flag, "-1")
@@ -173,6 +185,7 @@ MALFORMED_JSON = [
     ("abel-rational", "[]"),
     ("abel-rational", '{"points": 5, "map": {}}'),
     ("abel-rational", '{"points": ["c", "v"], "map": {"c": "v", "v": "c"}, "cvmod2": 5}'),
+    ("abel-rational", '{"points": ["p"], "map": {"p": "p"}, "preimages": {"q": []}}'),
 ]
 
 
@@ -195,6 +208,13 @@ def test_abel_rational(capsys):
     assert code == 0 and out.strip() == "Z"
     code, out, _ = run(capsys, "abel-rational", portrait, "--predict", "2", "1")
     assert "predicted: Z" in out
+
+
+def test_abel_rational_bad_prediction_prints_nothing(capsys):
+    """Both answers are computed before either is printed."""
+    portrait = '{"points": ["p"], "map": {"p": "p"}}'
+    code, out, err = run(capsys, "abel-rational", portrait, "--predict", "0", "1")
+    assert (code, out) == (1, "") and err.startswith("error:")
 
 
 def test_present_summary(capsys):

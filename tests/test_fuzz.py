@@ -1,13 +1,17 @@
-"""Fuzz of the command line: whatever the group, level and format, a level
-command ends in exit 0, 1 or 2 and never lets an exception escape."""
+"""Fuzz of the command line: whatever the group, level, format, table,
+word or portrait, a command ends in exit 0, 1 or 2, never lets an
+exception escape, and prints nothing on standard output when it exits 1."""
 
 import contextlib
 import io
+import json
+import random
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from selfsim.catalogue import builtin_groups
+from selfsim.abelian import random_portrait
+from selfsim.catalogue import builtin_groups, resolve_group
 from selfsim.cli import main
 
 GROUPS = Path(__file__).parent / "groups"
@@ -32,11 +36,126 @@ def level_commands(draw):
     return argv
 
 
-@settings(max_examples=60, deadline=None)
-@given(level_commands())
-def test_level_commands_exit_honestly(argv):
+def exits_honestly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    assert code != 1 or out.getvalue() == "", argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(level_commands())
+def test_level_commands_exit_honestly(argv):
+    exits_honestly(argv)
+
+
+# words over the binary and ternary alphabets, "e" the empty word, and some
+# that are not words at all
+VERTICES = st.one_of(st.text("01", max_size=3).map(lambda v: v or "e"),
+                     st.sampled_from(["2", "12", "x", "", "-1"]))
+ODD_ENTRIES = st.sampled_from(["q", "a1", " ", "\u212a", "abcdABCD"])
+
+
+def entries(letters):
+    """Words over a group's generators and their inverses, or odd text."""
+    words = st.text(letters + letters.upper() + "e", max_size=6).map(lambda g: g or "e")
+    return st.one_of(words, words, words, ODD_ENTRIES)
+
+
+ANTICHAINS = [["e"], ["0", "1"], ["0", "10", "11"], ["00", "01", "1"],
+              ["00", "01", "10", "11"], ["0", "1", "2"], ["0", "0"], ["0"], []]
+
+
+@st.composite
+def tables(draw, letters):
+    """A table's JSON text: a permutation of cylinders with drawn entries,
+    columns of drawn words, valid JSON of the wrong shape, or no JSON."""
+    kind = draw(st.sampled_from(["cylinders"] * 3 + ["columns", "shape", "text"]))
+    if kind == "cylinders":
+        domain = draw(st.sampled_from(ANTICHAINS))
+        range_ = draw(st.permutations(domain))
+        data = {"domain": domain, "range": range_,
+                "entries": draw(st.lists(entries(letters), min_size=len(domain),
+                                         max_size=len(domain)))}
+    elif kind == "columns":
+        data = {key: draw(st.lists(column, max_size=3))
+                for key, column in (("domain", VERTICES), ("entries", entries(letters)),
+                                    ("range", VERTICES))}
+    elif kind == "shape":
+        data = draw(st.sampled_from([[], 5, "a", None, {}, {"domain": ["e"]},
+                                     {"domain": "e", "entries": "e", "range": "e"},
+                                     {"domain": [0], "entries": ["e"], "range": ["e"]}]))
+    else:
+        return draw(st.sampled_from(["", "{", "[1,", "nul", "@"]))
+    return json.dumps(data)
+
+
+VG_ARITY = {"mul": 2, "inv": 1, "eq": 2, "canon": 1, "apply": 2}
+
+
+@st.composite
+def vg_commands(draw):
+    """A verb with the arguments it takes, or with 0 to 3 of any kind;
+    entries are mostly words over the group's own generators."""
+    spec = draw(GROUP_SPECS)
+    letters = "".join(resolve_group(spec).generators)
+    verb = draw(st.sampled_from(sorted(VG_ARITY)))
+    if draw(st.booleans()):
+        args = draw(st.lists(tables(letters), min_size=VG_ARITY[verb], max_size=VG_ARITY[verb]))
+        if verb == "apply":
+            args[1] = draw(VERTICES)
+    else:
+        args = draw(st.lists(st.one_of(tables(letters), VERTICES), max_size=3))
+    return ["vg", spec, verb, *args]
+
+
+@settings(max_examples=100, deadline=None)
+@given(vg_commands())
+def test_vg_commands_exit_honestly(argv):
+    exits_honestly(argv)
+
+
+@st.composite
+def portraits(draw):
+    """A portrait's JSON text: a drawn consistent portrait, one with a key
+    changed or dropped, or JSON that is no portrait."""
+    data = random_portrait(random.Random(draw(st.integers(0, 2 ** 16))), max_cycles=3,
+                           max_len=3, max_tail=2).to_json()
+    kind = draw(st.sampled_from(["valid", "changed", "dropped", "shape"]))
+    key = draw(st.sampled_from(sorted(data)))
+    if kind == "changed":
+        data[key] = draw(st.sampled_from([[], {}, 5, "odd", ["q"], {"q": []}, {"q": "q"}]))
+    elif kind == "dropped":
+        del data[key]
+    elif kind == "shape":
+        data = draw(st.sampled_from([[], 5, None, "p"]))
+    return json.dumps(data)
+
+
+@st.composite
+def other_commands(draw):
+    command = draw(st.sampled_from(["wp", "m-invariant", "abel-rational"]))
+    if command == "wp":
+        spec = draw(GROUP_SPECS)
+        argv = ["wp", spec, draw(entries("".join(resolve_group(spec).generators)))]
+        if draw(st.booleans()):
+            argv += ["--depth-limit", str(draw(st.integers(-1, 50)))]
+    elif command == "m-invariant":
+        words = draw(st.one_of(st.sampled_from(ANTICHAINS), st.lists(VERTICES, max_size=4)))
+        argv = ["m-invariant", "--alphabet", str(draw(st.integers(-1, 4))),
+                draw(st.sampled_from([json.dumps(words), json.dumps({"w": words}), "[", "5"]))]
+    else:
+        argv = ["abel-rational", draw(portraits())]
+        if draw(st.booleans()):
+            argv += ["--predict", *(str(draw(st.integers(-1, 3))) for _ in range(2))]
+        if draw(st.booleans()):
+            argv.append("--odd-exception")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(other_commands())
+def test_word_antichain_and_portrait_commands_exit_honestly(argv):
+    exits_honestly(argv)

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from selfsim.nucleus import (
     is_regular,
     is_self_replicating,
     length3_relations,
+    nucleus_products,
     section_closure,
 )
 from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef
@@ -314,3 +316,27 @@ def test_independent_check_refuses_other_state_sets(name, forged):
     assert is_nucleus(resolve_group(name), states)
     for other in [*forged, states + states[-1:]]:
         assert not is_nucleus(resolve_group(name), other)
+
+
+BENCH_GROUPS = Path(__file__).parent.parent / "bench" / "groups"
+PRODUCT_SPECS = (["adding", "basilica", "grigorchuk"]
+                 + [str(BENCH_GROUPS / name) for name in ("odometer2.txt", "odometer3.txt")]
+                 + ["kneading:" + "".join(bits) for n in range(1, 6)
+                    for bits in product("01", repeat=n)])
+
+
+@pytest.mark.parametrize("spec", PRODUCT_SPECS)
+def test_nucleus_products_match_interned_words(spec):
+    """Pair (i, j) of `nucleus_products` is the state of the word r_i * r_j,
+    and the reps it creates are those that interning the words in the same
+    order creates on a fresh group."""
+    group = resolve_group(spec)
+    nucleus = compute_nucleus(group)
+    states = nucleus_products(nucleus)
+    by_word = resolve_group(spec)
+    assert compute_nucleus(by_word).reps == nucleus.reps
+    words = [r1 * r2 for r1 in nucleus.reps for r2 in nucleus.reps]
+    word_states = [by_word.machine.intern(w) for w in words]
+    assert [str(group.machine.reps[s]) for s in states] == [
+        str(by_word.machine.reps[s]) for s in word_states]
+    assert states == [group.machine.intern(w) for w in words]

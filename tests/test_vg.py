@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,7 +12,7 @@ from oracles import apply_word
 from selfsim import GroupDef, resolve_group
 from selfsim.nucleus import compute_nucleus
 from selfsim.presentation import l_embed
-from selfsim.ssgroup import GenWord
+from selfsim.ssgroup import GenWord, Machine
 from selfsim.vg import (
     Table,
     orbit_witness,
@@ -441,7 +443,6 @@ def passes_validation(table):
 def test_internal_results_pass_validation(name, seed):
     """Every result the calculus builds without checks would pass them."""
     group, entries = group_and_entries(name)
-    nucleus = compute_nucleus(group)
     rng = random.Random(seed)
     d = group.d
     t1 = random_table(rng, group, entries, max_depth=2)
@@ -458,8 +459,8 @@ def test_internal_results_pass_validation(name, seed):
         split,
         t1.refine_domain(domain_target),
         t1.refine_range(range_target),
-        split.canonical_form(nucleus),
-        (t1 * t2 * t1.inverse()).canonical_form(nucleus),
+        split.canonical_form(),
+        (t1 * t2 * t1.inverse()).canonical_form(),
         l_embed(group, vertex, t1),
     ]
     for t in results:
@@ -479,3 +480,78 @@ def test_random_refine_domain_matches_oracle(name, seed):
     assert columns_complete(r)
     for x in words_below(r):
         assert image(r, x) == image(t, x)
+
+
+CANON_DIGEST_GROUPS = ("adding", "basilica", "grigorchuk", "kneading:01", "kneading:001",
+                       "kneading:0101", "odometer3", "trivial:3")
+
+
+def canon_digest_tables(rng, group, nucleus):
+    """Seeded tables for the canonical-form digest: split products of nucleus
+    reps, random tables whose entries are reps, products of reps or short
+    generator words, and products of two such tables."""
+    letters = list(group.generators) + [s.upper() for s in group.generators]
+    reps = list(nucleus.reps)
+
+    def entry():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.choice(reps)
+        if kind == 1:
+            return rng.choice(reps) * rng.choice(reps)
+        return group.word("".join(rng.choice(letters) for _ in range(rng.randint(0, 6))) or "e")
+
+    entries = [entry() for _ in range(12)] if letters else [GenWord()]
+    for i in range(40):
+        if i % 4 == 0:
+            t = Table.from_element(group, rng.choice(entries) * rng.choice(entries))
+            for _ in range(rng.randint(1, 5)):
+                t = t.split_row(rng.randrange(len(t.rows)))
+        elif i % 4 == 3:
+            t = random_table(rng, group, entries, max_depth=2) * random_table(
+                rng, group, entries, max_depth=2)
+        else:
+            t = random_table(rng, group, entries)
+        yield t
+
+
+def test_canonical_forms_match_pinned_digest():
+    """The canonical forms of 320 seeded tables over eight groups, each group
+    fresh so that its machine's states are made in one fixed order, hash to
+    the digest the word-pool implementation gave."""
+    digest = hashlib.sha256()
+    count = 0
+    for spec in CANON_DIGEST_GROUPS:
+        group = GroupDef.parse(ODOMETER3) if spec == "odometer3" else resolve_group(spec)
+        rng = random.Random(spec)
+        for t in canon_digest_tables(rng, group, compute_nucleus(group)):
+            digest.update(json.dumps(t.canonical_form().to_json()).encode() + b"\n")
+            count += 1
+    assert count == 320
+    assert digest.hexdigest() == (
+        "91d1992e0266dfde7bed3c781a2feb1a22cbca9c2d58fd0cb3e2a1c5fa6c3afc")
+
+
+@pytest.mark.parametrize("spec", ["basilica", "grigorchuk", "kneading:001"])
+def test_canonical_form_interns_each_entry_once(monkeypatch, spec):
+    """One `canonical_form` call interns every entry of its table exactly
+    once, merged families included, and nothing else (the nucleus is
+    computed beforehand)."""
+    group = resolve_group(spec)
+    nucleus = compute_nucleus(group)
+    monkeypatch.setattr("selfsim.vg.compute_nucleus", lambda g, budget: nucleus)
+    calls = []
+    intern = Machine.intern
+
+    def counted(self, word, **kw):
+        calls.append(str(word))
+        return intern(self, word, **kw)
+
+    monkeypatch.setattr(Machine, "intern", counted)
+    merged = 0
+    for t in canon_digest_tables(random.Random(spec), group, nucleus):
+        calls.clear()
+        c = t.canonical_form()
+        merged += len(c.rows) < len(t.rows)
+        assert sorted(calls) == sorted(str(g) for _, g, _ in t.rows)
+    assert merged
