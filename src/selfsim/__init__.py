@@ -8,10 +8,8 @@ from .words import (
     common_refinement,
     format_word,
     is_complete_antichain,
-    lex_compare,
     m_invariant,
     parse_word,
-    prefix_compare,
 )
 from .ssgroup import BudgetExceeded, GenWord, GroupDef, Verdict
 from .catalogue import builtin_groups, kneading_group, resolve_group, trivial_group
@@ -24,7 +22,6 @@ from .nucleus import (
     is_regular,
     is_self_replicating,
     length3_relations,
-    section_closure,
 )
 from .vg import (
     Table,

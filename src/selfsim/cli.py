@@ -69,9 +69,8 @@ def cmd_nucleus(args) -> None:
         return
     print(f"nucleus of {args.group}: {len(nucleus)} states")
     for i in nucleus:
-        secs = ", ".join(str(nucleus.reps[nucleus.section(i, x)])
-                         for x in range(group.d))
-        print(f"  {nucleus.reps[i]} = {perm_to_cycles(nucleus.perm(i))}({secs})")
+        secs = ", ".join(str(nucleus.reps[k]) for k in nucleus.sections[i])
+        print(f"  {nucleus.reps[i]} = {perm_to_cycles(nucleus.perms[i])}({secs})")
 
 
 def cmd_check(args) -> None:

@@ -28,7 +28,7 @@ from itertools import product
 
 from .nucleus import Nucleus
 from .ssgroup import GenWord, GroupDef, check_level, level_permutation
-from .words import Word, format_word
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def moore_diagram(nucleus: Nucleus) -> MooreDiagram:
     edges = []
     for i in nucleus:
         for x in range(nucleus.group.d):
-            edges.append((i, x, nucleus.perm(i)[x], nucleus.section(i, x)))
+            edges.append((i, x, nucleus.perms[i][x], nucleus.sections[i][x]))
     return MooreDiagram(tuple(str(r) for r in nucleus.reps), tuple(edges))
 
 
@@ -77,15 +77,6 @@ def _walk(nucleus: Nucleus, s: int, n: int) -> tuple[int, ...]:
     def step(t):
         return nucleus.perms[t], nucleus.sections[t]
     return level_permutation(step, s, nucleus.group.d, n, nucleus.identity_index)
-
-
-def _moves(nucleus: Nucleus, states, n: int):
-    """Index pairs (j, k), j != k, of level-n words such that one of the
-    given nucleus states carries the j-th word to the k-th."""
-    for s in states:
-        for j, k in enumerate(_walk(nucleus, s, n)):
-            if j != k:
-                yield j, k
 
 
 def _components(n: int, pairs) -> list[int]:
@@ -119,8 +110,9 @@ def level_identifications(nucleus: Nucleus, n: int) -> set[tuple[Word, Word]]:
     d = nucleus.group.d
     check_level(d, n)
     words = list(product(range(d), repeat=n))  # by index
-    states = (i for i in nucleus if i != nucleus.identity_index)
-    return {(words[min(j, k)], words[max(j, k)]) for j, k in _moves(nucleus, states, n)}
+    return {(words[min(j, k)], words[max(j, k)])
+            for s in nucleus if s != nucleus.identity_index
+            for j, k in enumerate(_walk(nucleus, s, n)) if j != k}
 
 
 def cylinder_stable_states(nucleus: Nucleus) -> set[int]:
@@ -131,7 +123,7 @@ def cylinder_stable_states(nucleus: Nucleus) -> set[int]:
     incoming = {i: [set() for _ in range(d)] for i in nucleus}
     for h in nucleus:
         for x in range(d):
-            incoming[nucleus.section(h, x)][x].add(h)
+            incoming[nucleus.sections[h][x]][x].add(h)
     alive = set(nucleus)
     changed = True
     while changed:
@@ -169,48 +161,8 @@ class LevelQuotient:
         """Each class's vertex indices, ascending."""
         return tuple(map(tuple, self._by_class(range(len(self.vertex_class)))))
 
-    @cached_property
-    def blocks(self) -> tuple[tuple[Word, ...], ...]:
-        """The classes as tuples of level-n words."""
-        words = list(product(range(self.d), repeat=self.level))
-        return tuple(tuple(words[j] for j in cls) for cls in self.classes)
-
-    def class_of(self, word: Word) -> int:
-        word = tuple(word)
-        if len(word) != self.level or not all(x in range(self.d) for x in word):
-            raise KeyError(format_word(word))
-        j = 0
-        for x in word:
-            j = j * self.d + x
-        return self.vertex_class[j]
-
     def is_connected(self) -> bool:
         return len(set(_components(len(self.classes), self.edges))) <= 1
-
-    def degree_sequence(self) -> list[int]:
-        deg = [0] * len(self.classes)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def is_cycle(self) -> bool:
-        return (
-            len(self.edges) == len(self.classes)
-            and self.is_connected()
-            and all(d == 2 for d in self.degree_sequence())
-        )
-
-    def is_path(self) -> bool:
-        if len(self.classes) == 1:
-            return not self.edges
-        deg = self.degree_sequence()
-        return (
-            len(self.edges) == len(self.classes) - 1
-            and self.is_connected()
-            and sorted(deg)[:2] == [1, 1]
-            and all(d <= 2 for d in deg)
-        )
 
     def to_json(self) -> dict:
         return {

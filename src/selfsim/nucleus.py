@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from collections import deque
 
 from .ssgroup import IDENTITY, BudgetExceeded, GenWord, GroupDef, Perm, _tarjan_sccs, reachable
-from .words import Word
 
 
 @dataclass(frozen=True)
@@ -76,20 +75,6 @@ class Nucleus:
 
     def __iter__(self):
         return iter(range(len(self.ids)))
-
-    def perm(self, i: int) -> Perm:
-        return self.perms[i]
-
-    def section(self, i: int, x: int) -> int:
-        return self.sections[i][x]
-
-    def act(self, i: int, v: Word) -> Word:
-        out = []
-        cur = i
-        for x in v:
-            out.append(self.perms[cur][x])
-            cur = self.sections[cur][x]
-        return tuple(out)
 
     def index_of(self, word: GenWord, **kw) -> int | None:
         """Index of the state of a word, or None when it lies outside."""
@@ -213,11 +198,8 @@ def is_regular(nucleus: Nucleus) -> bool:
     vertices with non-identity section, and conversely."""
     e = nucleus.identity_index
     edges = {
-        i: [
-            nucleus.section(i, x)
-            for x in range(nucleus.group.d)
-            if nucleus.perm(i)[x] == x and nucleus.section(i, x) != e
-        ]
+        i: [s for x, s in enumerate(nucleus.sections[i])
+            if nucleus.perms[i][x] == x and s != e]
         for i in nucleus
         if i != e
     }

@@ -105,8 +105,13 @@ def offcylinder_stabilizer_tables(group: GroupDef) -> list[Table]:
     """Finite stabilizer set of the complement of the base-letter cylinder:
     every permutation table of domain depth at most two fixing that cylinder
     pointwise, plus one exchange of cylinders of unequal depths.  One table
-    is built per distinct normal form."""
+    is built per distinct normal form.  The permutations of up to 3(d - 1)
+    movable cylinders are walked, so alphabets of more than 3 letters raise
+    ValueError."""
     d = group.d
+    if d > 3:
+        raise ValueError(f"the off-cylinder stabilizers are listed for alphabets "
+                         f"of at most 3 letters, not {d}")
     e = GenWord()
     found: dict[tuple, Table] = {}
 
@@ -231,24 +236,17 @@ def relators_C(nucleus: Nucleus) -> list[Relator]:
     group = nucleus.group
     d = group.d
     states = _nontrivial_states(nucleus)
-    # a trivial nucleus has no L(g) to commute with the stabilizers
-    stabilizers = ([(h, h.inverse()) for h in offcylinder_stabilizer_tables(group)]
-                   if states else [])
+    if not states:  # no L(g) to commute
+        return []
+    stabilizers = [(h, h.inverse()) for h in offcylinder_stabilizer_tables(group)]
     embed = _embeddings(nucleus)
     out = []
-    verts1 = [((x,), (y,)) for x in range(d) for y in range(d) if x != y]
-    verts2 = [
-        (v1, v2)
-        for v1 in product(range(d), repeat=2)
-        for v2 in product(range(d), repeat=2)
-        if v1 != v2
-    ]
     # one label per (vertex, state), not two per relator
     label = {(v, i): _sym_L(nucleus.reps[i], v)
              for v in [*product(range(d), repeat=1), *product(range(d), repeat=2)]
              for i in states}
-    for pairs in (verts1, verts2):
-        for v1, v2 in pairs:
+    for depth in (1, 2):
+        for v1, v2 in permutations(product(range(d), repeat=depth), 2):
             for i in states:
                 for j in states:
                     sym = f"[{label[v1, i]}, {label[v2, j]}]"
@@ -280,13 +278,13 @@ def relators_S(nucleus: Nucleus) -> list[Relator]:
     out = []
     for i in nucleus:
         rep = nucleus.reps[i]
-        sections = [nucleus.section(i, y) for y in range(d)]
+        sections = nucleus.sections[i]
         prod = None
         for y in range(d):
             t = embed((BASE_LETTER, y), sections[y])[0]
             prod = t if prod is None else prod * t
         lg = embed((BASE_LETTER,), i)[0]
-        h = level2_permutation(group, nucleus.perm(i))
+        h = level2_permutation(group, nucleus.perms[i])
         whole = lg * (h * prod).inverse()
         hmap = ",".join(
             f"{format_word(v)}>{format_word(u)}" for v, _, u in h.rows if v != u

@@ -104,6 +104,11 @@ def perm_parity(perm: Iterable[int]) -> int:
 # the most vertices a level may have for its whole-level action to be built
 LEVEL_VERTICES = 1 << 20
 
+# the most letters a group's alphabet may have: on trivial:256 every command
+# ends in about 1 s within 1 GB (2-core x86-64), and at 512 letters `present`
+# takes over 3 s
+ALPHABET_LETTERS = 1 << 8
+
 
 def check_level(d: int, n: int) -> None:
     """Raise ValueError unless level n of the d-ary tree exists and has at
@@ -302,6 +307,8 @@ class GroupDef:
                  name: str | None = None):
         if d < 2:
             raise ValueError("alphabet must have at least two letters")
+        if d > ALPHABET_LETTERS:
+            raise ValueError(f"alphabet must have at most {ALPHABET_LETTERS} letters")
         self.d = d
         self.name = name
         rec: dict[str, tuple[Perm, tuple[GenWord, ...]]] = {}
@@ -365,6 +372,8 @@ class GroupDef:
             gen_lines.append((sym, rhs))
         if d is None:
             raise ValueError("missing 'alphabet: d' header")
+        if d > ALPHABET_LETTERS:  # before the cycles build d-letter permutations
+            raise ValueError(f"alphabet must have at most {ALPHABET_LETTERS} letters")
         recursion = {}
         for sym, rhs in gen_lines:
             if sym in recursion:

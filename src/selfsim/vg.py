@@ -8,11 +8,11 @@ what composition, equality and canonical forms are built on.  Tables with
 trivial entries realize the prefix-replacement (Higman-Thompson type)
 homeomorphisms over the bare alphabet.
 
-Tables are validated where they enter: the public constructor, `permutation`,
-`from_json` and `thompson_from_antichains` check every entry and both
-columns.  Results built inside the calculus (products, inverses, splits,
-refinements, canonical forms) have complete antichain columns by
-construction and go through the unchecked `Table._trusted` instead.
+Tables are validated where they enter: the public constructor, `from_json`
+and `thompson_from_antichains` check every entry and both columns.  Results
+built inside the calculus (products, inverses, splits, refinements,
+canonical forms) have complete antichain columns by construction and go
+through the unchecked `Table._trusted` instead.
 """
 
 from __future__ import annotations
@@ -78,15 +78,6 @@ class Table:
     def from_element(cls, group: GroupDef, g) -> "Table":
         """The table of a single group element acting at the root."""
         return cls._trusted(group, [((), group.word(g), ())])
-
-    @classmethod
-    def permutation(cls, group: GroupDef, words, mapping) -> "Table":
-        """Trivial-entry table permuting the cylinders of an antichain."""
-        e = GenWord()
-        return cls(group, [(tuple(w), e, tuple(mapping[tuple(w)])) for w in words])
-
-    def domain(self) -> Antichain:
-        return Antichain([r[0] for r in self.rows], self.group.d)
 
     # -- splitting ---------------------------------------------------------
 
@@ -370,7 +361,7 @@ def thompson_from_antichains(group: GroupDef, sources, targets) -> Table:
         raise ValueError("one antichain is complete and the other is not")
     if not a1.is_complete():
         c1, c2 = a1.complement().words, a2.complement().words
-        if (len(c1) - len(c2)) % (group.d - 1 if group.d > 2 else 1) != 0:
+        if (len(c1) - len(c2)) % (group.d - 1) != 0:
             raise ValueError("complements have mismatched cylinder residues")
         rows.extend((v, e, u) for v, u in zip(*_equalized(c1, c2, group.d)))
     return Table(group, rows)

@@ -34,28 +34,6 @@ def is_prefix(v: Word, u: Word) -> bool:
     return len(v) <= len(u) and u[: len(v)] == v
 
 
-def prefix_compare(v: Word, u: Word) -> str:
-    """One of "equal", "prefix" (v before u), "extension", "incomparable".
-
-    Equal words are below each other in both directions; that case is
-    reported as "equal" rather than picking a side.
-    """
-    if v == u:
-        return "equal"
-    if is_prefix(v, u):
-        return "prefix"
-    if is_prefix(u, v):
-        return "extension"
-    return "incomparable"
-
-
-def lex_compare(v: Word, u: Word) -> int:
-    """Total order: letterwise, with a prefix sorting before its extensions."""
-    if v == u:
-        return 0
-    return -1 if v < u else 1
-
-
 def is_antichain(words) -> bool:
     """No word is a prefix of another; a repeated word is its own prefix.
 
@@ -93,7 +71,7 @@ def m_invariant(words, d: int) -> int:
     """
     if d < 2:
         raise ValueError("alphabet must have at least two letters")
-    return len(set(words)) % (d - 1) if d > 2 else 0
+    return len(set(words)) % (d - 1)
 
 
 def coarsen(items, d: int, word_of, merge) -> list:
@@ -162,8 +140,9 @@ class Antichain:
         return not self.words
 
     def is_whole(self) -> bool:
-        """True iff the clopen set is the whole boundary."""
-        return Antichain.clopen(self.words, self.d).words == ((),)
+        """True iff the clopen set is the whole boundary: the cylinders are
+        disjoint, so they cover it exactly when the antichain is complete."""
+        return self.is_complete()
 
     def m_invariant(self) -> int:
         return m_invariant(self.words, self.d)

@@ -295,6 +295,28 @@ def abelian_invariants(rows, ncols):
 
 
 
+def graph_shape(n, edges):
+    """"cycle", "path" or "other" for the simple graph on vertices 0..n-1
+    with the given undirected edges: a graph connected from vertex 0 is a
+    cycle when it has n edges and every degree is 2, and a path when it has
+    n - 1 edges and no degree above 2."""
+    adjacent = [set() for _ in range(n)]
+    for i, j in edges:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    seen, stack = {0}, [0]
+    while stack:
+        new = adjacent[stack.pop()] - seen
+        seen |= new
+        stack += new
+    degrees = {len(a) for a in adjacent}
+    if len(seen) == n and len(edges) == n and degrees == {2}:
+        return "cycle"
+    if len(seen) == n and len(edges) == n - 1 and degrees <= {0, 1, 2}:
+        return "path"
+    return "other"
+
+
 def nucleus_automaton(group, level=None):
     """(states as factor tuples, section table by state index, identity
     index) of `nucleus`, with each section found by its signature on the
@@ -349,12 +371,12 @@ def level_quotient(group, n, automaton=None):
         blocks = [tuple(b) for b in blocks.values()]
         return blocks, {v: i for i, b in enumerate(blocks) for v in b}
 
-    blocks, class_of = classes(n)
+    blocks, class_index = classes(n)
     edges = set()
     for s in range(len(states)):
         if s != identity:
-            for v in class_of:
-                i, j = class_of[v], class_of[apply_word(group, states[s], v)]
+            for v in class_index:
+                i, j = class_index[v], class_index[apply_word(group, states[s], v)]
                 if i != j:
                     edges.add((min(i, j), max(i, j)))
     shift = None

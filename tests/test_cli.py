@@ -14,6 +14,7 @@ from selfsim.abelian import vg_abelianization
 from selfsim.catalogue import builtin_groups
 from selfsim.cli import main
 from selfsim.nucleus import compute_nucleus
+from selfsim.ssgroup import ALPHABET_LETTERS
 
 
 def run(capsys, *argv):
@@ -311,22 +312,68 @@ def _capped_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
+def _run_capped(argv, timeout=30):
+    """The command run in a child with a capped address space and a
+    timeout, so unbounded growth fails the test instead of exhausting the
+    machine."""
+    env = dict(os.environ, PYTHONPATH=str(Path(selfsim.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "selfsim.cli", *argv], capture_output=True,
+                          text=True, timeout=timeout, env=env,
+                          preexec_fn=_capped_address_space)
+
+
 @pytest.mark.parametrize("argv", [["nucleus", "--no-cache"], ["present", "--no-cache"],
                                   ["limit", "--level", "3", "--no-cache"], ["check"], ["wp", "a"]])
 def test_growing_sections_exit_2(tmp_path, argv):
     """a = ()(aa, e) is trivial, but its section words double at each level.
-    The budgets must stop that before memory runs out.  The command runs in
-    a child with a capped address space and a timeout, so unbounded growth
-    fails this test instead of exhausting the machine."""
+    The budgets must stop that before memory runs out."""
     path = tmp_path / "doubling.txt"
     path.write_text("alphabet: 2\na = ()(aa, e)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(selfsim.__file__).parents[1]))
     command, *rest = argv
-    proc = subprocess.run([sys.executable, "-m", "selfsim.cli", command, str(path), *rest],
-                          capture_output=True, text=True, timeout=30, env=env,
-                          preexec_fn=_capped_address_space)
+    proc = _run_capped([command, str(path), *rest])
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout in ("", "undecided\n") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["nucleus", "trivial:99999999"], ["nucleus", "FILE"],
+                                  ["check", "trivial:1048576"]])
+def test_alphabet_past_the_bound_exits_1(tmp_path, argv):
+    """A group past the alphabet bound is refused before anything of the
+    alphabet's size is built: from trivial:D, from a group file's header,
+    and ahead of the d^2 letter pairs of the self-replication search."""
+    path = tmp_path / "wide.txt"
+    path.write_text("alphabet: 99999999\na = ()(e, e)\n")
+    proc = _run_capped([str(path) if arg == "FILE" else arg for arg in argv])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: alphabet must have at most {ALPHABET_LETTERS} letters\n"
+
+
+# a trivial nucleus has no generator letters, so their line is blank
+PRESENT_TRIVIAL = ("generators beyond the prefix-replacement part: 0\n"
+                   "  \n"
+                   "family C: 0 relators (0 verify as identity)\n"
+                   "family N: 1 relators (1 verify as identity)\n"
+                   "family S: 1 relators (1 verify as identity)\n")
+
+
+def test_present_on_a_wide_trivial_alphabet():
+    """A trivial nucleus has no commutation relators, so `present` builds
+    none of the d^4 pairs of level-two vertices they would be indexed by."""
+    proc = _run_capped(["present", "trivial:64", "--verify"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, PRESENT_TRIVIAL, "")
+
+
+def test_present_refuses_four_letters(tmp_path, capsys):
+    """The off-cylinder stabilizers walk every permutation of up to 3(d - 1)
+    cylinders, so `present` refuses a nontrivial nucleus over 4 letters at
+    once; a trivial nucleus needs no stabilizers and keeps its output."""
+    path = tmp_path / "odometer4.txt"
+    path.write_text("alphabet: 4\na = (0 1 2 3)(e, e, e, a)\n")
+    proc = _run_capped(["present", str(path)], timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: the off-cylinder stabilizers are listed for alphabets "
+                           "of at most 3 letters, not 4\n")
+    assert run(capsys, "present", "trivial:4", "--verify") == (0, PRESENT_TRIVIAL, "")
 
 
 def test_closed_output_pipe_exits_0():

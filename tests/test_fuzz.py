@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from selfsim.abelian import random_portrait
 from selfsim.catalogue import builtin_groups, resolve_group
 from selfsim.cli import main
+from selfsim.ssgroup import ALPHABET_LETTERS, perm_to_cycles
 
 GROUPS = Path(__file__).parent / "groups"
 
@@ -159,3 +160,40 @@ def other_commands(draw):
 @given(other_commands())
 def test_word_antichain_and_portrait_commands_exit_honestly(argv):
     exits_honestly(argv)
+
+
+# lines that break a group file: a generator named twice, a malformed line,
+# a bad header, a cycle naming a letter twice, and a section naming a
+# letter that is not a generator
+ODD_LINES = ["a = ()(e, e)", "a = (0 1)", "b (0 1)(e, e)", "alphabet: x", "alphabet",
+             "c = (0 0)(e, e)", "c = ()(q, e)", "= ()(e, e)"]
+
+
+@st.composite
+def group_files(draw):
+    """A group file's text: recursion lines over 2 to 4 letters whose
+    sections are short words over the generators, under an alphabet header
+    that mostly matches them and otherwise is of 1 to 10^8 letters or next
+    to the bound; some files have an unknown letter or an odd line."""
+    d = draw(st.integers(2, 4))
+    header = draw(st.sampled_from([st.just(d)] * 3 + [
+        st.integers(1, 10 ** 8),
+        st.sampled_from([ALPHABET_LETTERS - 1, ALPHABET_LETTERS, ALPHABET_LETTERS + 1])]))
+    names = "abc"[:draw(st.integers(0, 3))]
+    letters = names + names.upper() + ("z" if draw(st.integers(0, 3)) == 0 else "")
+    section = st.text(letters, max_size=2).map(lambda w: w or "e")
+    lines = [f"alphabet: {draw(header)}"]
+    for sym in names:
+        cycles = perm_to_cycles(tuple(draw(st.permutations(range(d)))))
+        lines.append(f"{sym} = {cycles}({', '.join(draw(section) for _ in range(d))})")
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(ODD_LINES)))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["nucleus", "abel", "check", "present"]), group_files())
+def test_group_file_commands_exit_honestly(tmp_path_factory, command, text):
+    path = tmp_path_factory.mktemp("group") / "group.txt"
+    path.write_text(text)
+    exits_honestly([command, str(path), "--budget-states", "200"])

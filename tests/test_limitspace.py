@@ -7,7 +7,7 @@ import pytest
 import oracles
 from selfsim import resolve_group
 from selfsim.limitspace import (
-    _moves,
+    _walk,
     cylinder_stable_states,
     level_identifications,
     moore_diagram,
@@ -79,23 +79,23 @@ def test_cylinder_stable_states(adding_nucleus, grigorchuk_nucleus):
 def test_quotient_graph_adding(adding_nucleus):
     for n in range(1, 8):
         q = quotient_graph(adding_nucleus, n)
-        assert len(q.blocks) == 2 ** n
-        assert all(len(b) == 1 for b in q.blocks)
+        assert len(q.classes) == 2 ** n
+        assert all(len(c) == 1 for c in q.classes)
         if n >= 2:
-            assert q.is_cycle()
+            assert oracles.graph_shape(len(q.classes), q.edges) == "cycle"
         assert q.is_connected()
 
 
 def test_quotient_graph_grigorchuk(grigorchuk_nucleus):
     for n in range(1, 8):
         q = quotient_graph(grigorchuk_nucleus, n)
-        assert len(q.blocks) == 2 ** n
-        assert q.is_path()
+        assert len(q.classes) == 2 ** n
+        assert oracles.graph_shape(len(q.classes), q.edges) == "path"
 
 
 def test_quotient_graph_trivial(trivial2):
     q = quotient_graph(compute_nucleus(trivial2), 3)
-    assert len(q.blocks) == 8
+    assert len(q.classes) == 8
     assert not q.edges
     assert not q.is_connected()
 
@@ -104,8 +104,8 @@ def test_quotient_graph_fused_classes():
     flip = GroupDef.parse(FLIP)
     nucleus = compute_nucleus(flip)
     q = quotient_graph(nucleus, 3)
-    assert len(q.blocks) == 4
-    assert all(len(b) == 2 for b in q.blocks)
+    assert len(q.classes) == 4
+    assert all(len(c) == 2 for c in q.classes)
     assert not q.is_connected()  # the flip group is not level-transitive
 
 
@@ -121,6 +121,7 @@ def test_connectivity_matches_level_transitivity():
 
 def test_shift_well_defined(adding_nucleus, grigorchuk_nucleus, basilica_nucleus):
     for nucleus in (adding_nucleus, grigorchuk_nucleus, basilica_nucleus):
+        d = nucleus.group.d
         for n in range(2, 7):
             pairs = level_identifications(nucleus, n)
             prev = level_identifications(nucleus, n - 1)
@@ -130,8 +131,9 @@ def test_shift_well_defined(adding_nucleus, grigorchuk_nucleus, basilica_nucleus
             q = quotient_graph(nucleus, n)
             assert q.shift is not None
             prev_q = quotient_graph(nucleus, n - 1)
-            for i, block in enumerate(q.blocks):
-                targets = {prev_q.class_of(w[:-1]) for w in block}
+            for i, cls in enumerate(q.classes):
+                # dropping the last letter of the j-th word gives the (j // d)-th
+                targets = {prev_q.vertex_class[j // d] for j in cls}
                 assert targets == {q.shift[i]}
 
 
@@ -146,13 +148,8 @@ def test_quotient_exports(adding_nucleus):
 def test_schreier_graph_examples(adding, grigorchuk):
     s = schreier_graph(adding, 4)
     assert len(s.vertices) == 16
-    assert len(s.edges) == 16  # a single 16-cycle
+    assert oracles.graph_shape(16, s.edges) == "cycle"  # a single 16-cycle
     assert s.is_connected()
-    deg = {v: 0 for v in s.vertices}
-    for v, u in s.edges:
-        deg[v] += 1
-        deg[u] += 1
-    assert all(x == 2 for x in deg.values())
 
     s = schreier_graph(grigorchuk, 3)
     assert len(s.vertices) == 8
@@ -200,34 +197,23 @@ def test_huge_levels_fail_at_once(adding_nucleus, trivial2):
     assert time.perf_counter() - start < 1.0
 
 
-def test_class_of(basilica_nucleus):
-    flip = compute_nucleus(GroupDef.parse(FLIP))
-    for nucleus in (basilica_nucleus, flip, compute_nucleus(resolve_group(ODOMETER3_FILE))):
-        for n in range(4):
-            q = quotient_graph(nucleus, n)
-            for i, block in enumerate(q.blocks):
-                assert all(q.class_of(w) == i for w in block)
-                assert all(q.class_of(list(w)) == i for w in block)
-            d = nucleus.group.d
-            for bad in [(0,) * (n + 1), (d,) * n if n else (0,), ("0",) * n if n else (1,)]:
-                with pytest.raises(KeyError):
-                    q.class_of(bad)
-
-
 @pytest.mark.parametrize("name", ["adding", "basilica", "grigorchuk", ODOMETER3_FILE]
                          + FUSED_GROUPS)
 def test_nucleus_walks_match_act(name):
-    """Each nucleus state's level walk moves exactly the words `Nucleus.act`
-    moves, to the same images, and `level_identifications` pairs them up."""
-    nucleus = compute_nucleus(_group(name))
+    """Each nucleus state's level walk moves exactly the words its
+    representative moves under `oracles.apply_word`, to the same images, and
+    `level_identifications` pairs them up."""
+    group = _group(name)
+    nucleus = compute_nucleus(group)
     for n in range(7):
-        words = list(product(range(nucleus.group.d), repeat=n))
+        words = list(product(range(group.d), repeat=n))
         index = {v: i for i, v in enumerate(words)}
         pairs = set()
         for i in nucleus:
-            moved = {(j, index[nucleus.act(i, v)]) for j, v in enumerate(words)
-                     if nucleus.act(i, v) != v}
-            assert set(_moves(nucleus, [i], n)) == moved, (name, i, n)
+            images = [oracles.apply_word(group, nucleus.reps[i].factors, v) for v in words]
+            moved = {(j, index[u]) for j, (v, u) in enumerate(zip(words, images)) if u != v}
+            walked = {(j, k) for j, k in enumerate(_walk(nucleus, i, n)) if j != k}
+            assert walked == moved, (name, i, n)
             if i != nucleus.identity_index:
                 pairs |= {(words[min(j, k)], words[max(j, k)]) for j, k in moved}
         assert level_identifications(nucleus, n) == pairs
@@ -245,6 +231,7 @@ def test_quotient_graph_matches_the_oracle(name):
     for n in range(8):
         q = quotient_graph(nucleus, n)
         blocks, edges, shift = oracles.level_quotient(group, n, automaton)
-        assert q.blocks == tuple(blocks), (name, n)
+        words = list(product(range(group.d), repeat=n))
+        assert [tuple(words[j] for j in c) for c in q.classes] == blocks, (name, n)
         assert q.edges == edges, (name, n)
         assert q.shift == shift, (name, n)

@@ -152,7 +152,7 @@ def test_nucleus_structure(basilica_nucleus):
     machine = n.group.machine
     for i in n:
         for x in range(d):
-            assert 0 <= n.section(i, x) < len(n)
+            assert 0 <= n.sections[i][x] < len(n)
         inverse = machine.inverse_state(n.ids[i])
         assert inverse in n.index
         assert machine.inverse_state(inverse) == n.ids[i]
@@ -228,13 +228,14 @@ def test_is_regular_agrees_with_direct_check(adding_nucleus, grigorchuk_nucleus,
             for n in range(1, 11):
                 good = True
                 for v in product(range(group.d), repeat=n):
-                    if nucleus.act(i, v) == v:
-                        cur = i
-                        for x in v:
-                            cur = nucleus.section(cur, x)
-                        if cur != e:
-                            good = False
-                            break
+                    # walk v, noting whether every letter is fixed
+                    cur, fixed = i, True
+                    for x in v:
+                        fixed = fixed and nucleus.perms[cur][x] == x
+                        cur = nucleus.sections[cur][x]
+                    if fixed and cur != e:
+                        good = False
+                        break
                 if good:
                     return True
             return False

@@ -150,14 +150,14 @@ def test_s_relator_solved_permutation(adding, grigorchuk):
     odometer rotates the cylinders below the base letter."""
     nucleus = compute_nucleus(adding)
     i_a = next(i for i in nucleus if str(nucleus.reps[i]) == "a")
-    h = level2_permutation(adding, nucleus.perm(i_a))
+    h = level2_permutation(adding, nucleus.perms[i_a])
     assert all(not g for _, g, _ in h.rows)
     assert {v: u for v, _, u in h.rows} == {
         (0, 0): (0, 1), (0, 1): (0, 0), (1, 0): (1, 0), (1, 1): (1, 1)}
 
     gnuc = compute_nucleus(grigorchuk)
     i_d = next(i for i in gnuc if str(gnuc.reps[i]) == "d")
-    h = level2_permutation(grigorchuk, gnuc.perm(i_d))
+    h = level2_permutation(grigorchuk, gnuc.perms[i_d])
     assert all(v == u for v, _, u in h.rows)  # d fixes both levels
 
     h = level2_permutation(GroupDef.parse(ODOMETER3), (1, 2, 0))
@@ -172,11 +172,11 @@ def test_built_permutation_is_the_quotient_by_the_sections(spec):
     group = GroupDef.parse(ODOMETER3) if spec == "odometer3" else resolve_group(spec)
     nucleus = compute_nucleus(group)
     for i in nucleus:
-        prod = l_of(group, (0, 0), nucleus.reps[nucleus.section(i, 0)])
+        prod = l_of(group, (0, 0), nucleus.reps[nucleus.sections[i][0]])
         for y in range(1, group.d):
-            prod = prod * l_of(group, (0, y), nucleus.reps[nucleus.section(i, y)])
+            prod = prod * l_of(group, (0, y), nucleus.reps[nucleus.sections[i][y]])
         quotient = l_of(group, (0,), nucleus.reps[i]) * prod.inverse()
-        assert quotient.equals(level2_permutation(group, nucleus.perm(i))) == "equal", \
+        assert quotient.equals(level2_permutation(group, nucleus.perms[i])) == "equal", \
             nucleus.reps[i]
 
 

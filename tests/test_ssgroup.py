@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from selfsim import resolve_group
-from selfsim.ssgroup import BudgetExceeded, GenWord, GroupDef, check_level, level_permutation
+from selfsim.ssgroup import (ALPHABET_LETTERS, BudgetExceeded, GenWord, GroupDef, check_level,
+                             level_permutation)
 from selfsim.words import parse_word
 
 
@@ -197,6 +198,17 @@ def test_perm_on_level_examples(adding, grigorchuk):
     for n in (-1, 30):
         with pytest.raises(ValueError):
             adding.perm_on_level(a, n)
+
+
+def test_alphabet_bound_holds_on_construction_and_parsing():
+    """An alphabet past the bound is refused by the constructor, and by the
+    parser at its header, before the cycles build permutations of its size."""
+    assert GroupDef(ALPHABET_LETTERS, {}).d == ALPHABET_LETTERS
+    message = f"at most {ALPHABET_LETTERS} letters"
+    with pytest.raises(ValueError, match=message):
+        GroupDef(ALPHABET_LETTERS + 1, {})
+    with pytest.raises(ValueError, match=message):
+        GroupDef.parse(f"alphabet: {ALPHABET_LETTERS + 1}\na = ()(e, e)\n")
 
 
 def test_level_bound_is_two_to_the_twenty_vertices():

@@ -11,10 +11,8 @@ from selfsim.words import (
     common_refinement,
     format_word,
     is_complete_antichain,
-    lex_compare,
     m_invariant,
     parse_word,
-    prefix_compare,
 )
 
 
@@ -24,21 +22,6 @@ def w(s):
 
 def ac(strings, d=2):
     return Antichain([parse_word(s) for s in strings], d)
-
-
-def test_prefix_compare_examples():
-    assert prefix_compare(w("e"), w("01")) == "prefix"
-    assert prefix_compare(w("0"), w("01")) == "prefix"
-    assert prefix_compare(w("01"), w("10")) == "incomparable"
-    assert prefix_compare(w("01"), w("0")) == "extension"
-    assert prefix_compare(w("11"), w("11")) == "equal"
-
-
-def test_lex_compare_examples():
-    assert lex_compare(w("01"), w("10")) == -1
-    assert lex_compare(w("0"), w("01")) == -1  # prefixes sort first
-    assert lex_compare(w("11"), w("11")) == 0
-    assert lex_compare(w("10"), w("01")) == 1
 
 
 def test_complete_antichain_examples():
