@@ -13,7 +13,6 @@ finite portrait of a rational map.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -369,23 +368,6 @@ class PostCriticalData:
     def preimages(self, z: str) -> list[str]:
         return sorted(y for y in self.points if self.fmap[y] == z)
 
-    def cycles(self) -> list[tuple[str, ...]]:
-        """Cycles of the portrait map (the attracting cycles): the distinct
-        `cycle_of` loops of the points, sorted."""
-        return sorted({self.cycle_of(z) for z in self.points})
-
-    def cycle_of(self, z: str) -> tuple[str, ...]:
-        """The cycle the forward orbit of z falls into: the orbit up to its
-        first repeated point, from that point on, rotated to start at its
-        least point."""
-        pos: dict[str, int] = {}
-        while z not in pos:
-            pos[z] = len(pos)
-            z = self.fmap[z]
-        cyc = list(pos)[pos[z]:]
-        k = cyc.index(min(cyc))
-        return tuple(cyc[k:] + cyc[:k])
-
     def to_json(self) -> dict:
         return {
             "degree_parity": "odd" if self.degree_odd else "even",
@@ -449,103 +431,3 @@ def predicted_rational_formula(k: int, l: int, odd_exception: bool = False) -> A
     if odd_exception:
         factors.append(2)
     return AbelGroup.from_factors(k - 1, factors)
-
-
-def _flag_parities(portrait: PostCriticalData) -> dict[tuple[str, ...], int]:
-    """Each cycle's parity of the number of flagged points it attracts."""
-    parity = {c: 0 for c in portrait.cycles()}
-    for z in portrait.cvmod2:
-        parity[portrait.cycle_of(z)] ^= 1
-    return parity
-
-
-def predicted_for_portrait(portrait: PostCriticalData) -> AbelGroup:
-    """Apply the closed form to a portrait: k cycles, l their gcd, and the
-    exception branch exactly when every cycle attracts an even number of
-    critical values mod 2."""
-    cycles = portrait.cycles()
-    k = len(cycles)
-    l = 0
-    for c in cycles:
-        l = gcd(l, len(c))
-    exception = portrait.degree_odd and not any(_flag_parities(portrait).values())
-    return predicted_rational_formula(k, l, exception)
-
-
-def formula_applies(portrait: PostCriticalData) -> bool:
-    """Whether the closed form is valid for this flag configuration.
-
-    Even degree: always.  Odd degree: always, except when every cycle
-    attracts an even number of flagged points, every cycle length is even,
-    and the flag parities accumulated around the cycles and down the tails
-    sum odd; then the order-two summand couples with the sum-zero homology
-    relation (flag patterns of that shape are beyond the branching a single
-    rational map can carry, starting with Riemann-Hurwitz on the minimal
-    ones).
-    """
-    if not portrait.degree_odd:
-        return True
-    if any(_flag_parities(portrait).values()):
-        return True
-    cycles = portrait.cycles()
-    if any(len(c) % 2 for c in cycles):
-        return True
-    cycset = {z for c in cycles for z in c}
-
-    def tail_flag_count(z: str) -> int:
-        seen: set[str] = set()
-        stack, count = [z], 0
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            if w in portrait.cvmod2:
-                count += 1
-            stack.extend(y for y in portrait.preimages(w) if y not in cycset)
-        return count
-
-    total = sum(tail_flag_count(z) for z in portrait.points if z not in cycset)
-    for cyc in cycles:
-        members = set(cyc)
-        order = [cyc[0]]
-        while len(order) < len(cyc):  # walk along predecessors
-            order.append(next(y for y in portrait.preimages(order[-1]) if y in members))
-        offset = 0
-        for z in order:
-            total += offset
-            t_z = (1 if z in portrait.cvmod2 else 0) + sum(
-                tail_flag_count(y) for y in portrait.preimages(z) if y not in cycset
-            )
-            offset = (offset + t_z) % 2
-    return total % 2 == 0
-
-
-def random_portrait(rng: random.Random, max_cycles: int = 4, max_len: int = 5,
-                    degree_odd: bool | None = None, max_tail: int = 4) -> PostCriticalData:
-    """Random consistent portrait: some cycles, optional tail points falling
-    into them, and (odd degree) an even-sized flag set within the closed
-    formula's domain of validity."""
-    if degree_odd is None:
-        degree_odd = rng.random() < 0.5
-    k = rng.randint(1, max_cycles)
-    points: list[str] = []
-    fmap: dict[str, str] = {}
-    for c in range(k):
-        length = rng.randint(1, max_len)
-        cyc = [f"c{c}p{i}" for i in range(length)]
-        for i, z in enumerate(cyc):
-            fmap[z] = cyc[(i + 1) % length]
-        points.extend(cyc)
-    for t in range(rng.randint(0, max_tail)):
-        z = f"t{t}"
-        fmap[z] = rng.choice(points)
-        points.append(z)
-    while True:
-        flags: frozenset[str] = frozenset()
-        if degree_odd:
-            n_flags = 2 * rng.randint(0, len(points) // 2)
-            flags = frozenset(rng.sample(points, n_flags))
-        portrait = PostCriticalData(tuple(points), fmap, degree_odd, flags)
-        if formula_applies(portrait):
-            return portrait

@@ -161,9 +161,6 @@ class LevelQuotient:
         """Each class's vertex indices, ascending."""
         return tuple(map(tuple, self._by_class(range(len(self.vertex_class)))))
 
-    def is_connected(self) -> bool:
-        return len(set(_components(len(self.classes), self.edges))) <= 1
-
     def to_json(self) -> dict:
         return {
             "level": self.level,
@@ -229,17 +226,6 @@ class SchreierGraph:
     level: int
     d: int
     labels: dict[tuple[int, int], list[str]]
-
-    @property
-    def vertices(self) -> range:
-        return range(self.d ** self.level)
-
-    @property
-    def edges(self):
-        return self.labels.keys()
-
-    def is_connected(self) -> bool:
-        return len(set(_components(len(self.vertices), self.edges))) <= 1
 
     def to_json(self) -> dict:
         names = _labels(self.d, self.level)

@@ -118,7 +118,7 @@ def _persistent_states(kids, roots) -> set:
     A state recurs arbitrarily deep iff it has an infinite backward chain,
     i.e. iff it survives iterated peeling of states without incoming edges.
     """
-    region = reachable(kids, roots)
+    region = reachable(kids.__getitem__, roots)
     indeg = {s: 0 for s in region}
     for s in region:
         for kid in kids[s]:
@@ -258,16 +258,7 @@ def is_level_transitive(group: GroupDef, n: int) -> bool:
     # without generators the identity's walk still checks the level
     words = [GenWord([(sym, 1)]) for sym in group.generators] or [IDENTITY]
     perms = [group.perm_on_level(w, n) for w in words]
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for perm in perms:
-            j = perm[i]
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(perms[0])
+    return len(reachable(lambda i: [p[i] for p in perms], [0])) == len(perms[0])
 
 
 def nucleus_products(nucleus: Nucleus) -> list[int]:

@@ -179,10 +179,6 @@ class PresentationBundle:
     s1: list[str]
     relators: dict[str, list[Relator]] = field(repr=False)
 
-    def all_relators(self):
-        for family in ("C", "N", "S"):
-            yield from self.relators[family]
-
     def to_json(self) -> dict:
         return {
             "group": self.group.content_hash(),
@@ -321,18 +317,18 @@ def disjoint_supports(t1: Table, t2: Table) -> bool:
     return is_antichain([v for t in (t1, t2) for v, g, u in t.rows if u != v or g])
 
 
-def verify_relator(relator: Relator, limit: int = 10_000) -> bool:
+def verify_relator(relator: Relator) -> bool:
     """Whether the concrete table product is the identity homeomorphism.
 
     A C relator whose factors have disjoint supports is certified by
     `disjoint_supports` without composing its table.  Otherwise the verdict
-    is the table's `identity_verdict(limit)`; UndecidedError when no row is
+    is the table's `identity_verdict()`; UndecidedError when no row is
     wrong but some entry ran out of budget."""
     if relator.factors is not None:
         (t1, _), (t2, _) = relator.factors
         if disjoint_supports(t1, t2):
             return True
-    verdict = relator.table.identity_verdict(limit)
+    verdict = relator.table.identity_verdict()
     if verdict == "undecided":
         raise UndecidedError(relator.symbolic)
     return verdict == "equal"

@@ -23,7 +23,7 @@ import hashlib
 import re
 from collections import deque
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .words import Word
 
@@ -65,40 +65,31 @@ def perm_from_cycles(text: str, d: int) -> Perm:
     return perm
 
 
-def perm_to_cycles(perm: Perm) -> str:
-    seen = set()
-    parts = []
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            seen.add(start)
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(p) for p in cyc) + ")")
-    return "".join(parts) if parts else "()"
-
-
-def perm_parity(perm: Iterable[int]) -> int:
-    """0 for even permutations, 1 for odd."""
-    perm = list(perm)
+def perm_cycles(perm: Sequence[int]) -> list[list[int]]:
+    """The cycles of a permutation of 0..n-1, fixed points included, each
+    listed from its least point, in order of that point."""
     seen = [False] * len(perm)
-    parity = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
+    cycles = []
+    for start in range(len(perm)):
+        cyc = []
+        j = start
         while not seen[j]:
             seen[j] = True
+            cyc.append(j)
             j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
+def perm_to_cycles(perm: Perm) -> str:
+    return "".join("(" + " ".join(map(str, cyc)) + ")"
+                   for cyc in perm_cycles(perm) if len(cyc) > 1) or "()"
+
+
+def perm_parity(perm: Sequence[int]) -> int:
+    """0 for even permutations, 1 for odd."""
+    return (len(perm) - len(perm_cycles(perm))) & 1
 
 
 # the most vertices a level may have for its whole-level action to be built
@@ -343,7 +334,6 @@ class GroupDef:
         # the step table of `wreath`, one dict per tuple of letter images
         self._steps: dict[Perm, dict] = {identity_perm(d): {}}
         self._machine: Machine | None = None
-        self._triviality: dict[GenWord, Verdict] = {}
 
     # -- parsing and printing -------------------------------------------
 
@@ -490,9 +480,6 @@ class GroupDef:
         word, without closing.
         """
         word = self.word(word)
-        cached = self._triviality.get(word)
-        if cached is not None:
-            return cached
         longest = max(limit, len(word))
         seen = {word}
         queue: deque[tuple[GenWord, Word]] = deque([(word, ())])
@@ -501,20 +488,14 @@ class GroupDef:
             perm, sections = self.wreath(cur)
             for x in range(self.d):
                 if perm[x] != x:
-                    verdict = Verdict("nontrivial", path + (x,))
-                    self._triviality[cur] = Verdict("nontrivial", (x,))
-                    self._triviality[word] = verdict
-                    return verdict
+                    return Verdict("nontrivial", path + (x,))
             for x, sec in enumerate(sections):
                 if sec not in seen:
                     if len(seen) >= limit or len(sec) > longest:
                         return Verdict("undecided")
                     seen.add(sec)
                     queue.append((sec, path + (x,)))
-        verdict = Verdict("trivial")
-        for sec in seen:
-            self._triviality[sec] = verdict
-        return verdict
+        return Verdict("trivial")
 
     def are_equal(self, g: GenWord, h: GenWord, limit: int = 10_000) -> Verdict:
         """Equality in the group acting on the tree; reduces to triviality
@@ -732,11 +713,12 @@ class Machine:
         return ids
 
     def reachable(self, roots: Iterable[int]) -> set[int]:
-        return reachable(self.kids, roots)
+        return reachable(self.kids.__getitem__, roots)
 
 
-def reachable(kids, roots) -> set:
-    """The nodes reachable from `roots` along `kids[node]`, roots included."""
+def reachable(successors, roots) -> set:
+    """The nodes reachable from `roots` along `successors(node)`, roots
+    included."""
     seen = set()
     stack = list(roots)
     while stack:
@@ -744,7 +726,7 @@ def reachable(kids, roots) -> set:
         if s in seen:
             continue
         seen.add(s)
-        stack.extend(kids[s])
+        stack.extend(successors(s))
     return seen
 
 

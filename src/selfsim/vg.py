@@ -203,7 +203,7 @@ class Table:
 
     # -- canonical form ------------------------------------------------------
 
-    def canonical_form(self, budget: Budget = Budget()) -> "Table":
+    def canonical_form(self) -> "Table":
         """Merge split sibling rows back, bottom-up, and rewrite entries to
         shortest nucleus representatives.
 
@@ -214,12 +214,12 @@ class Table:
         state or of a product of two (`nucleus_products`), into that state's
         representative; the result is a normal form up to that search bound,
         and table equality never depends on it.  Each entry may add up to
-        `budget.max_states` states to the group's machine, however many the
-        products put there; an entry past that keeps its word and its family
-        unmerged.  Without a computable nucleus the table is returned
-        merge-free.
+        the default `Budget.max_states` states to the group's machine,
+        however many the products put there; an entry past that keeps its
+        word and its family unmerged.  Without a computable nucleus the
+        table is returned merge-free.
         """
-        group = self.group
+        group, budget = self.group, Budget()
         try:
             nucleus = compute_nucleus(group, budget)
         except NotContractingError:
@@ -260,11 +260,7 @@ class Table:
         for _, g, _ in self.rows:
             if self.group.is_trivial(g).status != "trivial":
                 raise ValueError("sign is defined for trivial entries only")
-        order = sorted(range(len(self.rows)), key=lambda i: self.rows[i][2])
-        rank = [0] * len(order)
-        for pos, i in enumerate(order):
-            rank[i] = pos
-        return perm_parity(rank)
+        return perm_parity(sorted(range(len(self.rows)), key=lambda i: self.rows[i][2]))
 
     def image_of_clopen(self, clopen: Antichain) -> Antichain:
         """Coarsest antichain of the image of a clopen set; each refined

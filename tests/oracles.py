@@ -300,21 +300,34 @@ def graph_shape(n, edges):
     with the given undirected edges: a graph connected from vertex 0 is a
     cycle when it has n edges and every degree is 2, and a path when it has
     n - 1 edges and no degree above 2."""
+    degrees = {len(a) for a in _adjacency(n, edges)}
+    if not connected(n, edges):
+        return "other"
+    if len(edges) == n and degrees == {2}:
+        return "cycle"
+    if len(edges) == n - 1 and degrees <= {0, 1, 2}:
+        return "path"
+    return "other"
+
+
+def _adjacency(n, edges):
     adjacent = [set() for _ in range(n)]
     for i, j in edges:
         adjacent[i].add(j)
         adjacent[j].add(i)
+    return adjacent
+
+
+def connected(n, edges):
+    """Whether the graph on vertices 0..n-1 with the given undirected edges
+    is connected: a walk from vertex 0 reaches every vertex."""
+    adjacent = _adjacency(n, edges)
     seen, stack = {0}, [0]
     while stack:
         new = adjacent[stack.pop()] - seen
         seen |= new
         stack += new
-    degrees = {len(a) for a in adjacent}
-    if len(seen) == n and len(edges) == n and degrees == {2}:
-        return "cycle"
-    if len(seen) == n and len(edges) == n - 1 and degrees <= {0, 1, 2}:
-        return "path"
-    return "other"
+    return len(seen) == n
 
 
 def nucleus_automaton(group, level=None):
@@ -385,3 +398,131 @@ def level_quotient(group, n, automaton=None):
         shift = tuple(below[b[0][:-1]] for b in blocks)
         assert all(below[v[:-1]] == shift[i] for i, b in enumerate(blocks) for v in b)
     return blocks, edges, shift
+
+
+# -- post-critically finite portraits ----------------------------------------
+#
+# The closed formula's side of the rational-map check: cycles, flag parities
+# and the formula read off a portrait directly, and random portraits within
+# the formula's domain; the cokernel side is `rational_map_abelianization`.
+
+def portrait_cycles(portrait):
+    """Cycles of the portrait map (the attracting cycles): the distinct
+    `cycle_of` loops of the points, sorted."""
+    return sorted({cycle_of(portrait, z) for z in portrait.points})
+
+
+def cycle_of(portrait, z):
+    """The cycle the forward orbit of z falls into: the orbit up to its
+    first repeated point, from that point on, rotated to start at its
+    least point."""
+    pos = {}
+    while z not in pos:
+        pos[z] = len(pos)
+        z = portrait.fmap[z]
+    cyc = list(pos)[pos[z]:]
+    k = cyc.index(min(cyc))
+    return tuple(cyc[k:] + cyc[:k])
+
+
+def _flag_parities(portrait):
+    """Each cycle's parity of the number of flagged points it attracts."""
+    parity = {c: 0 for c in portrait_cycles(portrait)}
+    for z in portrait.cvmod2:
+        parity[cycle_of(portrait, z)] ^= 1
+    return parity
+
+
+def predicted_for_portrait(portrait):
+    """Apply the closed form to a portrait: k cycles, l their gcd, and the
+    exception branch exactly when every cycle attracts an even number of
+    critical values mod 2."""
+    from selfsim.abelian import predicted_rational_formula
+
+    cycles = portrait_cycles(portrait)
+    k = len(cycles)
+    l = 0
+    for c in cycles:
+        l = gcd(l, len(c))
+    exception = portrait.degree_odd and not any(_flag_parities(portrait).values())
+    return predicted_rational_formula(k, l, exception)
+
+
+def formula_applies(portrait):
+    """Whether the closed form is valid for this flag configuration.
+
+    Even degree: always.  Odd degree: always, except when every cycle
+    attracts an even number of flagged points, every cycle length is even,
+    and the flag parities accumulated around the cycles and down the tails
+    sum odd; then the order-two summand couples with the sum-zero homology
+    relation (flag patterns of that shape are beyond the branching a single
+    rational map can carry, starting with Riemann-Hurwitz on the minimal
+    ones).
+    """
+    if not portrait.degree_odd:
+        return True
+    if any(_flag_parities(portrait).values()):
+        return True
+    cycles = portrait_cycles(portrait)
+    if any(len(c) % 2 for c in cycles):
+        return True
+    cycset = {z for c in cycles for z in c}
+
+    def tail_flag_count(z):
+        seen = set()
+        stack, count = [z], 0
+        while stack:
+            w = stack.pop()
+            if w in seen:
+                continue
+            seen.add(w)
+            if w in portrait.cvmod2:
+                count += 1
+            stack.extend(y for y in portrait.preimages(w) if y not in cycset)
+        return count
+
+    total = sum(tail_flag_count(z) for z in portrait.points if z not in cycset)
+    for cyc in cycles:
+        members = set(cyc)
+        order = [cyc[0]]
+        while len(order) < len(cyc):  # walk along predecessors
+            order.append(next(y for y in portrait.preimages(order[-1]) if y in members))
+        offset = 0
+        for z in order:
+            total += offset
+            t_z = (1 if z in portrait.cvmod2 else 0) + sum(
+                tail_flag_count(y) for y in portrait.preimages(z) if y not in cycset
+            )
+            offset = (offset + t_z) % 2
+    return total % 2 == 0
+
+
+def random_portrait(rng, max_cycles=4, max_len=5, degree_odd=None, max_tail=4):
+    """Random consistent portrait: some cycles, optional tail points falling
+    into them, and (odd degree) an even-sized flag set within the closed
+    formula's domain of validity."""
+    from selfsim.abelian import PostCriticalData
+
+    if degree_odd is None:
+        degree_odd = rng.random() < 0.5
+    k = rng.randint(1, max_cycles)
+    points = []
+    fmap = {}
+    for c in range(k):
+        length = rng.randint(1, max_len)
+        cyc = [f"c{c}p{i}" for i in range(length)]
+        for i, z in enumerate(cyc):
+            fmap[z] = cyc[(i + 1) % length]
+        points.extend(cyc)
+    for t in range(rng.randint(0, max_tail)):
+        z = f"t{t}"
+        fmap[z] = rng.choice(points)
+        points.append(z)
+    while True:
+        flags = frozenset()
+        if degree_odd:
+            n_flags = 2 * rng.randint(0, len(points) // 2)
+            flags = frozenset(rng.sample(points, n_flags))
+        portrait = PostCriticalData(tuple(points), fmap, degree_odd, flags)
+        if formula_applies(portrait):
+            return portrait

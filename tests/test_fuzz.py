@@ -10,7 +10,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from selfsim.abelian import random_portrait
+import oracles
 from selfsim.catalogue import builtin_groups, resolve_group
 from selfsim.cli import main
 from selfsim.ssgroup import ALPHABET_LETTERS, perm_to_cycles
@@ -122,8 +122,8 @@ def test_vg_commands_exit_honestly(argv):
 def portraits(draw):
     """A portrait's JSON text: a drawn consistent portrait, one with a key
     changed or dropped, or JSON that is no portrait."""
-    data = random_portrait(random.Random(draw(st.integers(0, 2 ** 16))), max_cycles=3,
-                           max_len=3, max_tail=2).to_json()
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    data = oracles.random_portrait(rng, max_cycles=3, max_len=3, max_tail=2).to_json()
     kind = draw(st.sampled_from(["valid", "changed", "dropped", "shape"]))
     key = draw(st.sampled_from(sorted(data)))
     if kind == "changed":

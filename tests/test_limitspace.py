@@ -18,6 +18,7 @@ from selfsim.nucleus import compute_nucleus, is_level_transitive
 from selfsim.ssgroup import GroupDef
 
 ODOMETER3_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer3.txt")
+FLIP_FILE = str(Path(__file__).parent / "groups" / "flip.txt")
 # groups with cylinder-stable states, so level quotients fuse vertex classes
 FLIP = "alphabet: 2\na = (0 1)(a, a)\n"
 SWAP = "alphabet: 2\na = (0 1)(b, b)\nb = ()(a, a)\n"
@@ -83,7 +84,7 @@ def test_quotient_graph_adding(adding_nucleus):
         assert all(len(c) == 1 for c in q.classes)
         if n >= 2:
             assert oracles.graph_shape(len(q.classes), q.edges) == "cycle"
-        assert q.is_connected()
+        assert oracles.connected(len(q.classes), q.edges)
 
 
 def test_quotient_graph_grigorchuk(grigorchuk_nucleus):
@@ -97,7 +98,7 @@ def test_quotient_graph_trivial(trivial2):
     q = quotient_graph(compute_nucleus(trivial2), 3)
     assert len(q.classes) == 8
     assert not q.edges
-    assert not q.is_connected()
+    assert not oracles.connected(len(q.classes), q.edges)
 
 
 def test_quotient_graph_fused_classes():
@@ -106,17 +107,19 @@ def test_quotient_graph_fused_classes():
     q = quotient_graph(nucleus, 3)
     assert len(q.classes) == 4
     assert all(len(c) == 2 for c in q.classes)
-    assert not q.is_connected()  # the flip group is not level-transitive
+    # the flip group is not level-transitive
+    assert not oracles.connected(len(q.classes), q.edges)
 
 
 def test_connectivity_matches_level_transitivity():
-    groups = ["adding", "basilica", "grigorchuk", "kneading:01", "trivial:2"]
+    groups = ["adding", "basilica", "grigorchuk", "kneading:01", "trivial:2", FLIP_FILE]
     for name in groups:
         group = resolve_group(name)
         nucleus = compute_nucleus(group)
-        for n in range(1, 7):
+        for n in range(1, 9):
             q = quotient_graph(nucleus, n)
-            assert q.is_connected() == is_level_transitive(group, n), (name, n)
+            assert oracles.connected(len(q.classes), q.edges) == is_level_transitive(group, n), \
+                (name, n)
 
 
 def test_shift_well_defined(adding_nucleus, grigorchuk_nucleus, basilica_nucleus):
@@ -147,19 +150,19 @@ def test_quotient_exports(adding_nucleus):
 
 def test_schreier_graph_examples(adding, grigorchuk):
     s = schreier_graph(adding, 4)
-    assert len(s.vertices) == 16
-    assert oracles.graph_shape(16, s.edges) == "cycle"  # a single 16-cycle
-    assert s.is_connected()
+    assert len(s.to_json()["vertices"]) == 16
+    assert oracles.graph_shape(16, s.labels) == "cycle"  # a single 16-cycle
+    assert oracles.connected(16, s.labels)
 
     s = schreier_graph(grigorchuk, 3)
-    assert len(s.vertices) == 8
-    assert s.is_connected()
+    assert len(s.to_json()["vertices"]) == 8
+    assert oracles.connected(8, s.labels)
 
     inert = GroupDef.parse("alphabet: 2\na = ()(a, a)\n")
     s = schreier_graph(inert, 1)
-    assert len(s.vertices) == 2
-    assert not s.edges
-    assert not s.is_connected()
+    assert len(s.to_json()["vertices"]) == 2
+    assert not s.labels
+    assert not oracles.connected(2, s.labels)
 
 
 def test_schreier_exports(grigorchuk):

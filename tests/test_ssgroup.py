@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from selfsim import resolve_group
 from selfsim.ssgroup import (ALPHABET_LETTERS, BudgetExceeded, GenWord, GroupDef, check_level,
-                             level_permutation)
+                             level_permutation, perm_from_cycles, perm_parity, perm_to_cycles)
 from selfsim.words import parse_word
 
 
@@ -200,6 +200,18 @@ def test_perm_on_level_examples(adding, grigorchuk):
             adding.perm_on_level(a, n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
+def test_cycle_walk_matches_inversions_and_round_trips(perm):
+    """The parity read off the cycles is that of the inversion count, and
+    the printed cycles parse back to the permutation."""
+    perm = tuple(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+    assert perm_parity(perm) == inversions % 2
+    assert perm_from_cycles(perm_to_cycles(perm), len(perm)) == perm
+    assert perm_to_cycles(tuple(range(len(perm)))) == "()"
+
+
 def test_alphabet_bound_holds_on_construction_and_parsing():
     """An alphabet past the bound is refused by the constructor, and by the
     parser at its header, before the cycles build permutations of its size."""
@@ -311,8 +323,8 @@ def test_wreath_matches_the_oracle_fold(group_and_factors, data):
 
 
 def test_wreath_is_linear_in_the_word_length():
-    # a fresh group, so no triviality verdict is cached; folding by
-    # re-reducing the accumulated sections took about 8 s on this word
+    # folding by re-reducing the accumulated sections took about 8 s on
+    # this word
     group = resolve_group("grigorchuk")
     word = group.word("ab" * 3200)
     start = time.perf_counter()
