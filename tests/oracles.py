@@ -3,7 +3,9 @@
 Everything here works on raw factor lists and decides equality by acting
 on a full finite level, deliberately bypassing the package's word-BFS,
 interning machine, and Smith reduction, so the two routes can disagree
-when either is wrong.
+when either is wrong.  Graph connectivity is one plain walk, and the
+portrait kit at the end reads the rational-map closed formula off a
+portrait without the package's cokernel.
 """
 
 from __future__ import annotations
