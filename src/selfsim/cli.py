@@ -52,7 +52,7 @@ def _load_table(group: GroupDef, text: str) -> Table:
 
 
 def _print_graph(graph, fmt: str) -> None:
-    print(graph.to_dot() if fmt == "dot" else json.dumps(graph.to_json()))
+    print(graph.to_dot() if fmt == "dot" else graph.json_text())
 
 
 def cmd_catalogue(args) -> None:
@@ -158,8 +158,16 @@ def cmd_present(args) -> None:
         print(line)
 
 
+def _named_group(spec: str) -> GroupDef:
+    """The group, unless one digit per letter cannot name its level words apart."""
+    group = catalogue.resolve_group(spec)
+    if group.d > 10:
+        raise ValueError(f"vertex names take one digit per letter: {group.d} letters is over 10")
+    return group
+
+
 def cmd_limit(args) -> None:
-    group = catalogue.resolve_group(args.group)
+    group = _named_group(args.group)
     nucleus = compute_nucleus(group, _budget(args))
     _print_graph(quotient_graph(nucleus, args.level), args.format)
 
@@ -171,7 +179,7 @@ def cmd_moore(args) -> None:
 
 
 def cmd_schreier(args) -> None:
-    group = catalogue.resolve_group(args.group)
+    group = _named_group(args.group)
     _print_graph(schreier_graph(group, args.level), args.format)
 
 

@@ -16,12 +16,14 @@ reads the level n - 1 action it needs for the shift off that walk.
 
 Vertices are those indices throughout: the j-th word of level n is j
 written in base d with n digits, and dropping its last letter gives
-j // d.  Digit-string labels are built once per level, and only when a
-graph is written out.
+j // d.  A pair j < k of vertices or classes is one int, j * m + k (m their
+count), until a graph is written out: only then are digit-string labels
+built, once per level, and the graph writes the text `json.dumps` would.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -39,11 +41,9 @@ class MooreDiagram:
     states: tuple[str, ...]
     edges: tuple[tuple[int, int, int, int], ...]  # (src, input, output, dst)
 
-    def to_json(self) -> dict:
-        return {
-            "states": list(self.states),
-            "edges": [list(e) for e in self.edges],
-        }
+    def json_text(self) -> str:
+        edges = ", ".join("[%d, %d, %d, %d]" % e for e in self.edges)
+        return '{"states": ["%s"], "edges": [%s]}' % ('", "'.join(self.states), edges)
 
     def to_dot(self) -> str:
         lines = ["digraph moore {"]
@@ -145,37 +145,39 @@ class LevelQuotient:
     level: int
     d: int
     vertex_class: tuple[int, ...]  # class of each vertex index
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[int, ...]  # codes i * len(classes) + j of class pairs i < j, ascending
     shift: tuple[int, ...] | None  # class index at level n-1
-
-    def _by_class(self, items) -> list[list]:
-        """Items given one per vertex index, gathered by class in index
-        order."""
-        out: list[list] = [[] for _ in range(max(self.vertex_class) + 1)]
-        for item, c in zip(items, self.vertex_class):
-            out[c].append(item)
-        return out
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Each class's vertex indices, ascending."""
-        return tuple(map(tuple, self._by_class(range(len(self.vertex_class)))))
+        out: list[list[int]] = [[] for _ in range(max(self.vertex_class) + 1)]
+        for j, c in enumerate(self.vertex_class):
+            out[c].append(j)
+        return tuple(map(tuple, out))
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "classes": self._by_class(_labels(self.d, self.level)),
-            "edges": [list(e) for e in sorted(self.edges)],
-            "shift": list(self.shift) if self.shift is not None else None,
-        }
+    def _class_labels(self, sep: str) -> list[str]:
+        """Each class's vertex labels joined by sep, in class order; with no
+        class of two vertices, the labels themselves."""
+        names = _labels(self.d, self.level)
+        if max(self.vertex_class) + 1 == len(names):
+            return names
+        return [sep.join(names[j] for j in c) for c in self.classes]
+
+    def json_text(self) -> str:
+        labels = self._class_labels('", "')
+        m = len(labels)
+        edges = ", ".join([f"[{e // m}, {e % m}]" for e in self.edges])
+        shift = "null" if self.shift is None else "[%s]" % ", ".join(map(str, self.shift))
+        return '{"level": %d, "classes": [["%s"]], "edges": [%s], "shift": %s}' % (
+            self.level, '"], ["'.join(labels), edges, shift)
 
     def to_dot(self) -> str:
+        labels = self._class_labels(",")
+        m = len(labels)
         lines = ["graph levelquotient {"]
-        for i, names in enumerate(self._by_class(_labels(self.d, self.level))):
-            label = ",".join(names)
-            lines.append(f'  n{i} [label="{label}"];')
-        for i, j in sorted(self.edges):
-            lines.append(f"  n{i} -- n{j};")
+        lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
+        lines += [f"  n{e // m} -- n{e % m};" for e in self.edges]
         lines.append("}")
         return "\n".join(lines)
 
@@ -195,53 +197,56 @@ def quotient_graph(nucleus: Nucleus, n: int) -> LevelQuotient:
     walks = [_walk(nucleus, s, n) for s in sorted(stable)]
     vertex_class = _components(d ** n, ((j, k) for walk in walks
                                         for j, k in enumerate(walk) if j != k))
+    m = max(vertex_class) + 1
 
     edges = set()
     for s in nucleus:
         if s != nucleus.identity_index and s not in stable:
             image_class = map(vertex_class.__getitem__, _walk(nucleus, s, n))
-            edges.update((a, b) if a < b else (b, a)
-                         for a, b in zip(vertex_class, image_class) if a != b)
+            edges |= {a * m + b if a < b else b * m + a
+                      for a, b in zip(vertex_class, image_class) if a != b}
 
     shift = None
     if n >= 1:
         prev_class = _components(d ** (n - 1), ((j, k) for walk in walks
                                                 for j in range(d ** (n - 1))
                                                 if (k := walk[j * d] // d) != j))
-        below = [prev_class[j // d] for j in range(d ** n)]
-        if len(set(zip(vertex_class, below))) != max(vertex_class) + 1:  # one target per class
+        m_prev = max(prev_class) + 1
+        targets = sorted({c * m_prev + prev_class[j // d] for j, c in enumerate(vertex_class)})
+        if len(targets) != m:  # one target per class
             raise AssertionError("shift does not descend to classes")
-        # classes are numbered by least vertex, so in order of first appearance
-        shift = tuple(dict(zip(vertex_class, below)).values())
-    return LevelQuotient(n, d, tuple(vertex_class), frozenset(edges), shift)
+        shift = tuple(t % m_prev for t in targets)  # sorted codes run in class order
+    return LevelQuotient(n, d, tuple(vertex_class), tuple(sorted(edges)), shift)
 
 
 @dataclass(frozen=True)
 class SchreierGraph:
     """Level-n orbit graph.  Vertices are the lexicographic indices of the
-    level-n words, and each edge (j, k), j < k, is labelled with the sorted
-    names of the generators that carry one end to the other.  Digit-string
-    labels are built only by `to_json` and `to_dot`."""
+    level-n words, and each edge j < k, keyed by its code j * d^n + k, is
+    labelled with the comma-joined sorted names of the generators that
+    carry one end to the other.  Digit-string labels are built only by
+    `json_text` and `to_dot`."""
 
     level: int
     d: int
-    labels: dict[tuple[int, int], list[str]]
+    labels: dict[int, str]
 
-    def to_json(self) -> dict:
+    def json_text(self) -> str:
         names = _labels(self.d, self.level)
-        return {
-            "level": self.level,
-            "vertices": names,
-            "edges": [[names[j], names[k], self.labels[(j, k)]] for j, k in sorted(self.labels)],
-        }
+        m = len(names)
+        lists = {label: json.dumps(label.split(",")) for label in set(self.labels.values())}
+        edges = ", ".join([f'["{names[c // m]}", "{names[c % m]}", {lists[self.labels[c]]}]'
+                           for c in sorted(self.labels)])
+        return '{"level": %d, "vertices": ["%s"], "edges": [%s]}' % (
+            self.level, '", "'.join(names), edges)
 
     def to_dot(self) -> str:
         names = _labels(self.d, self.level)
+        m = len(names)
         lines = ["graph schreier {"]
         lines.extend(f'  "{name}";' for name in names)
-        for j, k in sorted(self.labels):
-            label = ",".join(self.labels[(j, k)])
-            lines.append(f'  "{names[j]}" -- "{names[k]}" [label="{label}"];')
+        lines += [f'  "{names[c // m]}" -- "{names[c % m]}" [label="{self.labels[c]}"];'
+                  for c in sorted(self.labels)]
         lines.append("}")
         return "\n".join(lines)
 
@@ -250,9 +255,10 @@ def schreier_graph(group: GroupDef, n: int) -> SchreierGraph:
     """One edge per pair of level-n vertices that a generator moves into
     each other."""
     check_level(group.d, n)
-    labels: dict[tuple[int, int], list[str]] = {}
+    m = group.d ** n
+    labels: dict[int, str] = {}
     for sym in sorted(group.generators):
         perm = group.perm_on_level(GenWord([(sym, 1)]), n)
-        for edge in {(j, k) if j < k else (k, j) for j, k in enumerate(perm) if j != k}:
-            labels.setdefault(edge, []).append(sym)
+        for code in {j * m + k if j < k else k * m + j for j, k in enumerate(perm) if j != k}:
+            labels[code] = labels[code] + "," + sym if code in labels else sym
     return SchreierGraph(n, group.d, labels)

@@ -294,26 +294,29 @@ def test_criterion_9_limit_quotients():
     for n in range(1, 11):
         q = quotient_graph(nucleus, n)
         assert len(q.classes) == 2 ** n, n
+        edges = [divmod(e, len(q.classes)) for e in q.edges]  # codes i * m + j
         if n >= 2:
-            assert oracles.graph_shape(len(q.classes), q.edges) == "cycle", n
+            assert oracles.graph_shape(len(q.classes), edges) == "cycle", n
         else:
             # the two level-1 pieces share both circle endpoints; as a simple
             # graph that collapses to a single edge
-            assert len(q.edges) == 1 and oracles.connected(len(q.classes), q.edges)
+            assert len(edges) == 1 and oracles.connected(len(q.classes), edges)
 
     grig = fresh("grigorchuk")
     gn = compute_nucleus(grig)
     for n in range(1, 11):
         q = quotient_graph(gn, n)
         assert len(q.classes) == 2 ** n
-        assert oracles.graph_shape(len(q.classes), q.edges) == "path", n
+        edges = [divmod(e, len(q.classes)) for e in q.edges]
+        assert oracles.graph_shape(len(q.classes), edges) == "path", n
 
     for name in (*CATALOGUE, FLIP, "trivial:2"):
         group = fresh(name)
         nuc = compute_nucleus(group)
         for n in range(1, 9):
             q = quotient_graph(nuc, n)
-            assert oracles.connected(len(q.classes), q.edges) == is_level_transitive(group, n), \
+            edges = [divmod(e, len(q.classes)) for e in q.edges]
+            assert oracles.connected(len(q.classes), edges) == is_level_transitive(group, n), \
                 (name, n)
     report(9, "odometer quotients are 2^n-cycles and the interval quotients "
               "paths up to level 10; connectivity tracks level-transitivity")

@@ -348,6 +348,36 @@ def test_alphabet_past_the_bound_exits_1(tmp_path, argv):
     assert proc.stderr == f"error: alphabet must have at most {ALPHABET_LETTERS} letters\n"
 
 
+ELEVEN = "alphabet: 11\na = (0 10)(e, e, e, e, e, e, e, e, e, e, e)\n"
+
+
+@pytest.mark.parametrize("argv", [["limit", "trivial:11", "--level", "3"],
+                                  ["schreier", "FILE", "--level", "3"],
+                                  ["limit", "FILE", "--level", "1", "--format", "dot"],
+                                  ["schreier", "FILE", "--level", "0"],
+                                  ["schreier", "FILE", "--level", "99"]])
+def test_graphs_past_ten_letters_exit_1(capsys, tmp_path, argv):
+    """A vertex name spells its word with one digit per letter, so past 10
+    letters two words can share a name: at level 3, 1010 is both (1, 0, 10)
+    and (10, 1, 0).  `limit` and `schreier` refuse such a group before any
+    walk, so even a level too deep to build gets this reason."""
+    path = tmp_path / "eleven.txt"
+    path.write_text(ELEVEN)
+    code, out, err = run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == "error: vertex names take one digit per letter: 11 letters is over 10\n"
+
+
+def test_graphs_on_ten_letters_name_every_vertex(capsys):
+    """Ten letters are the most that one digit per letter can name apart."""
+    for command in ("limit", "schreier"):
+        code, out, _ = run(capsys, command, "trivial:10", "--level", "3")
+        assert code == 0
+        data = json.loads(out)
+        names = data["classes"] if command == "limit" else data["vertices"]
+        assert len(set(map(str, names))) == len(names) == 1000
+
+
 # a trivial nucleus has no generator letters, so their line is blank
 PRESENT_TRIVIAL = ("generators beyond the prefix-replacement part: 0\n"
                    "  \n"

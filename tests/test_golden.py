@@ -179,6 +179,23 @@ GOLDEN = [
      "fe080d73e7e80554942365dc506ec0f8fa967ff48baec5864319dfca87ccbb0a"),
     ("schreier kneading:01 --level 9 --format dot",
      "75aa9124281c2e7257b8cf2f7778494e78ef430fed78c1dfff704cc12bb3cae1"),
+    # the levels the analysis benchmark runs
+    ("limit adding --level 12 --no-cache",
+     "e8264205217ebb86fd1857748f25a0baa597211c7ddff2047f98518332a59a7d"),
+    ("limit grigorchuk --level 12 --no-cache",
+     "b53b0ebc41ce3a380b9806523d03d8be357f808d7af3e45ec3f65cb44b460000"),
+    ("schreier adding --level 12",
+     "d441a0ca0d243a8a35c02aa12e19933173777c026cd1ee76d0ea093535cff1df"),
+    ("schreier grigorchuk --level 12",
+     "8b173a6e17806c2feec42bb4c8cf5ba3b9ce9d4c34cb6f2b3a9b3c45dd71d922"),
+    ("schreier basilica --level 12",
+     "75844a613fe77d389f92a534b50f5a1c6b88339cddc07ee5ee9006bec66de0d6"),
+    ("schreier grigorchuk --level 14",
+     "c5ec57cae43f426b1f1828d268b202e914be3a5060e055f4744c9200f69c0953"),
+    ("limit basilica --level 12 --no-cache --format dot",
+     "42f3e76ad915d4b4ed20b3a3d87d528d999730c66e1eff458613540c87ff81b7"),
+    ("schreier basilica --level 12 --format dot",
+     "20deceb6ed0205c7953d4b293f43aa488ba3d21b033f0fb70a7c0bf655af2d1e"),
     # canonical forms: split elements merged back into their nucleus reps,
     # and a family whose sections differ kept as it is
     ('vg grigorchuk canon {"domain":["0","1"],"entries":["a","c"],"range":["0","1"]}',

@@ -1,3 +1,4 @@
+import json
 import time
 from itertools import product
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 import oracles
 from selfsim import resolve_group
+from selfsim.cli import main
 from selfsim.limitspace import (
     _walk,
     cylinder_stable_states,
@@ -17,8 +19,10 @@ from selfsim.limitspace import (
 from selfsim.nucleus import compute_nucleus, is_level_transitive
 from selfsim.ssgroup import GroupDef
 
+ODOMETER2_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer2.txt")
 ODOMETER3_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer3.txt")
 FLIP_FILE = str(Path(__file__).parent / "groups" / "flip.txt")
+ROTATION3_FILE = str(Path(__file__).parent / "groups" / "rotation3.txt")
 # groups with cylinder-stable states, so level quotients fuse vertex classes
 FLIP = "alphabet: 2\na = (0 1)(a, a)\n"
 SWAP = "alphabet: 2\na = (0 1)(b, b)\nb = ()(a, a)\n"
@@ -28,6 +32,12 @@ FUSED_GROUPS = [FLIP, SWAP, ROTATION3]
 
 def _group(spec):
     return GroupDef.parse(spec) if spec.startswith("alphabet") else resolve_group(spec)
+
+
+def _pairs(codes, m):
+    """Pairs (j, k), j < k, of vertices or classes, read off their codes
+    j * m + k."""
+    return [divmod(code, m) for code in codes]
 
 
 def test_moore_diagram_examples(adding_nucleus, grigorchuk_nucleus, trivial2):
@@ -82,23 +92,24 @@ def test_quotient_graph_adding(adding_nucleus):
         q = quotient_graph(adding_nucleus, n)
         assert len(q.classes) == 2 ** n
         assert all(len(c) == 1 for c in q.classes)
+        edges = _pairs(q.edges, len(q.classes))
         if n >= 2:
-            assert oracles.graph_shape(len(q.classes), q.edges) == "cycle"
-        assert oracles.connected(len(q.classes), q.edges)
+            assert oracles.graph_shape(len(q.classes), edges) == "cycle"
+        assert oracles.connected(len(q.classes), edges)
 
 
 def test_quotient_graph_grigorchuk(grigorchuk_nucleus):
     for n in range(1, 8):
         q = quotient_graph(grigorchuk_nucleus, n)
         assert len(q.classes) == 2 ** n
-        assert oracles.graph_shape(len(q.classes), q.edges) == "path"
+        assert oracles.graph_shape(len(q.classes), _pairs(q.edges, len(q.classes))) == "path"
 
 
 def test_quotient_graph_trivial(trivial2):
     q = quotient_graph(compute_nucleus(trivial2), 3)
     assert len(q.classes) == 8
     assert not q.edges
-    assert not oracles.connected(len(q.classes), q.edges)
+    assert not oracles.connected(len(q.classes), _pairs(q.edges, len(q.classes)))
 
 
 def test_quotient_graph_fused_classes():
@@ -108,7 +119,7 @@ def test_quotient_graph_fused_classes():
     assert len(q.classes) == 4
     assert all(len(c) == 2 for c in q.classes)
     # the flip group is not level-transitive
-    assert not oracles.connected(len(q.classes), q.edges)
+    assert not oracles.connected(len(q.classes), _pairs(q.edges, len(q.classes)))
 
 
 def test_connectivity_matches_level_transitivity():
@@ -118,7 +129,8 @@ def test_connectivity_matches_level_transitivity():
         nucleus = compute_nucleus(group)
         for n in range(1, 9):
             q = quotient_graph(nucleus, n)
-            assert oracles.connected(len(q.classes), q.edges) == is_level_transitive(group, n), \
+            edges = _pairs(q.edges, len(q.classes))
+            assert oracles.connected(len(q.classes), edges) == is_level_transitive(group, n), \
                 (name, n)
 
 
@@ -142,7 +154,7 @@ def test_shift_well_defined(adding_nucleus, grigorchuk_nucleus, basilica_nucleus
 
 def test_quotient_exports(adding_nucleus):
     q = quotient_graph(adding_nucleus, 2)
-    data = q.to_json()
+    data = json.loads(q.json_text())
     assert data["level"] == 2
     assert len(data["classes"]) == 4
     assert "graph" in q.to_dot()
@@ -150,24 +162,24 @@ def test_quotient_exports(adding_nucleus):
 
 def test_schreier_graph_examples(adding, grigorchuk):
     s = schreier_graph(adding, 4)
-    assert len(s.to_json()["vertices"]) == 16
-    assert oracles.graph_shape(16, s.labels) == "cycle"  # a single 16-cycle
-    assert oracles.connected(16, s.labels)
+    assert len(json.loads(s.json_text())["vertices"]) == 16
+    assert oracles.graph_shape(16, _pairs(s.labels, 16)) == "cycle"  # a single 16-cycle
+    assert oracles.connected(16, _pairs(s.labels, 16))
 
     s = schreier_graph(grigorchuk, 3)
-    assert len(s.to_json()["vertices"]) == 8
-    assert oracles.connected(8, s.labels)
+    assert len(json.loads(s.json_text())["vertices"]) == 8
+    assert oracles.connected(8, _pairs(s.labels, 8))
 
     inert = GroupDef.parse("alphabet: 2\na = ()(a, a)\n")
     s = schreier_graph(inert, 1)
-    assert len(s.to_json()["vertices"]) == 2
+    assert len(json.loads(s.json_text())["vertices"]) == 2
     assert not s.labels
-    assert not oracles.connected(2, s.labels)
+    assert not oracles.connected(2, _pairs(s.labels, 2))
 
 
 def test_schreier_exports(grigorchuk):
     s = schreier_graph(grigorchuk, 2)
-    data = s.to_json()
+    data = json.loads(s.json_text())
     assert data["level"] == 2
     assert all(len(e) == 3 for e in data["edges"])
     assert "graph" in s.to_dot()
@@ -236,5 +248,63 @@ def test_quotient_graph_matches_the_oracle(name):
         blocks, edges, shift = oracles.level_quotient(group, n, automaton)
         words = list(product(range(group.d), repeat=n))
         assert [tuple(words[j] for j in c) for c in q.classes] == blocks, (name, n)
-        assert q.edges == edges, (name, n)
+        assert _pairs(q.edges, len(q.classes)) == sorted(edges), (name, n)
         assert q.shift == shift, (name, n)
+
+
+def _json_text(capsys, *argv):
+    """What a graph command prints, which must be the text `json.dumps`
+    writes for the value it parses to."""
+    assert main(list(argv)) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("\n")
+    text = text[:-1]
+    assert json.dumps(json.loads(text)) == text, argv
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("name", ["adding", "basilica", "grigorchuk", "trivial:2", "trivial:3",
+                                  ODOMETER2_FILE, ODOMETER3_FILE, FLIP_FILE, ROTATION3_FILE,
+                                  "kneading:01"], ids=lambda spec: Path(spec).name)
+def test_graph_json_text_matches_the_oracles(capsys, name):
+    """`limit`, `schreier` and `moore` print `json.dumps` text: level
+    quotients as `oracles.level_quotient` builds them, Schreier edges in
+    order with their generators in order as `oracles.apply_word` finds them,
+    and one Moore edge per state and letter, to the state's image letter
+    and section."""
+    group = resolve_group(name)
+    d = group.d
+    automaton = oracles.nucleus_automaton(group, 6 if d == 3 else None)
+
+    def name_of(word):
+        return "".join(map(str, word)) or "e"
+
+    for n in range(9):
+        words = list(product(range(d), repeat=n))
+        data = _json_text(capsys, "limit", name, "--level", str(n))
+        blocks, edges, shift = oracles.level_quotient(group, n, automaton)
+        assert data == {"level": n, "classes": [[name_of(w) for w in b] for b in blocks],
+                        "edges": [list(e) for e in sorted(edges)],
+                        "shift": None if shift is None else list(shift)}, (name, n)
+
+        data = _json_text(capsys, "schreier", name, "--level", str(n))
+        want: dict = {}
+        for sym in sorted(group.generators):
+            for v in words:
+                u = oracles.apply_word(group, ((sym, 1),), v)
+                if u != v and sym not in want.setdefault((min(u, v), max(u, v)), []):
+                    want[min(u, v), max(u, v)].append(sym)
+        assert data == {"level": n, "vertices": [name_of(w) for w in words],
+                        "edges": [[name_of(a), name_of(b), want[a, b]] for a, b in sorted(want)]}, \
+            (name, n)
+
+    data = _json_text(capsys, "moore", name)
+    states = [[(ch.lower(), 1 if ch.islower() else -1) for ch in s if ch != "e"]
+              for s in data["states"]]
+    assert [e[:2] for e in data["edges"]] == [[i, x] for i in range(len(states)) for x in range(d)]
+    for i, x, y, k in data["edges"]:
+        image, section = oracles.step(group, states[i], x)
+        assert image == y, (name, i, x)
+        level = 6 if d == 3 else 10
+        assert oracles.signature(group, section, level) == \
+            oracles.signature(group, states[k], level), (name, i, x)

@@ -67,7 +67,8 @@ def test_ternary_odometer_quotient_cycles():
     for n in range(2, 5):
         q = quotient_graph(nucleus, n)
         assert len(q.classes) == 3**n
-        assert oracles.graph_shape(len(q.classes), q.edges) == "cycle"
+        edges = [divmod(e, len(q.classes)) for e in q.edges]  # codes i * m + j
+        assert oracles.graph_shape(len(q.classes), edges) == "cycle"
 
 
 def test_m_invariant_preserved_with_group_entries():
