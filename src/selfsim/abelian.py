@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .nucleus import Budget, Nucleus, compute_nucleus, length3_relations
+from .nucleus import Nucleus, compute_nucleus, length3_relations
 from .ssgroup import GenWord, GroupDef, perm_parity
 
 
@@ -316,7 +316,7 @@ def _one_minus_sigma(sig: Matrix, parity: list[int] | None, extra_rows: Matrix) 
     return cokernel(rows, n + 1)
 
 
-def vg_abelianization(group: GroupDef, budget: Budget = Budget()) -> AbelGroup:
+def vg_abelianization(group: GroupDef) -> AbelGroup:
     """Abelianization of the table group over a self-similar group.
 
     The group abelianization is presented as the free abelian group on the
@@ -329,7 +329,7 @@ def vg_abelianization(group: GroupDef, budget: Budget = Budget()) -> AbelGroup:
     vector t of order two, with sigma extended by the permutation parity.
     """
     return _one_minus_sigma(sigma_matrix(group), sign_vector(group) if group.d % 2 else None,
-                            nucleus_relation_rows(group, compute_nucleus(group, budget)))
+                            nucleus_relation_rows(group, compute_nucleus(group)))
 
 
 

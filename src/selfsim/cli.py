@@ -35,8 +35,22 @@ from .vg import Table
 from .words import Antichain, format_word, m_invariant, parse_word
 
 
-def _budget(args) -> Budget:
-    return Budget(max_states=args.budget_states, max_depth=args.budget_depth)
+def _check_digits(d: int) -> None:
+    """Refuse an alphabet that one digit per letter cannot write apart."""
+    if d > 10:
+        raise ValueError(f"vertex names take one digit per letter: {d} letters is over 10")
+
+
+def _group(args) -> GroupDef:
+    """The command's group.  Its machine holds the command's budget, if the
+    command takes one; a command that writes words refuses an alphabet past
+    10 letters."""
+    group = catalogue.resolve_group(args.group)
+    if args.command in ("wp", "vg", "limit", "schreier"):
+        _check_digits(group.d)
+    if hasattr(args, "budget_states"):
+        group.machine.budget = Budget(args.budget_states, args.budget_depth)
+    return group
 
 
 def _read_arg(text: str) -> str:
@@ -62,8 +76,8 @@ def cmd_catalogue(args) -> None:
 
 
 def cmd_nucleus(args) -> None:
-    group = catalogue.resolve_group(args.group)
-    nucleus = compute_nucleus(group, _budget(args))
+    group = _group(args)
+    nucleus = compute_nucleus(group)
     if args.json:
         print(json.dumps(nucleus.to_json()))
         return
@@ -74,25 +88,24 @@ def cmd_nucleus(args) -> None:
 
 
 def cmd_check(args) -> None:
-    group = catalogue.resolve_group(args.group)
-    budget = _budget(args)
+    group = _group(args)
     # every answer is computed before any is printed, so a bad argument or
     # an exhausted budget exits with nothing on standard output
     try:
-        nucleus = compute_nucleus(group, budget)
+        nucleus = compute_nucleus(group)
         lines = [f"contracting: yes ({len(nucleus)} states)",
                  f"regular: {'yes' if is_regular(nucleus) else 'no'}"]
     except NotContractingError as exc:
         lines = [f"contracting: {exc}"]
     lines.append(f"self-replicating (radius {args.radius}): "
-                 f"{is_self_replicating(group, args.radius, budget)}")
+                 f"{is_self_replicating(group, args.radius)}")
     lines.append(f"level-transitive up to {args.level}: "
                  f"{'yes' if is_level_transitive(group, args.level) else 'no'}")
     print("\n".join(lines))
 
 
 def cmd_wp(args) -> tuple[str, int]:
-    group = catalogue.resolve_group(args.group)
+    group = _group(args)
     verdict = group.is_trivial(group.word(args.word), args.depth_limit)
     if verdict.status == "nontrivial":
         return f"nontrivial (moves {format_word(verdict.witness)})", 0
@@ -108,7 +121,7 @@ def cmd_vg(args) -> tuple[str, int] | None:
     if len(args.args) != n:
         raise ValueError(f"{args.verb} takes {n} argument{'s' if n > 1 else ''}, "
                          f"got {len(args.args)}")
-    group = catalogue.resolve_group(args.group)
+    group = _group(args)
     if args.verb == "mul":
         t = _load_table(group, args.args[0]) * _load_table(group, args.args[1])
         print(json.dumps(t.to_json()))
@@ -126,8 +139,8 @@ def cmd_vg(args) -> tuple[str, int] | None:
 
 
 def cmd_abel(args) -> None:
-    group = catalogue.resolve_group(args.group)
-    print(vg_abelianization(group, budget=_budget(args)))
+    group = _group(args)
+    print(vg_abelianization(group))
 
 
 def cmd_abel_rational(args) -> None:
@@ -142,8 +155,8 @@ def cmd_abel_rational(args) -> None:
 
 
 def cmd_present(args) -> None:
-    group = catalogue.resolve_group(args.group)
-    bundle = emit_presentation(group, _budget(args))
+    group = _group(args)
+    bundle = emit_presentation(group)
     if args.json:
         print(json.dumps(bundle.to_json()))
         return
@@ -158,32 +171,25 @@ def cmd_present(args) -> None:
         print(line)
 
 
-def _named_group(spec: str) -> GroupDef:
-    """The group, unless one digit per letter cannot name its level words apart."""
-    group = catalogue.resolve_group(spec)
-    if group.d > 10:
-        raise ValueError(f"vertex names take one digit per letter: {group.d} letters is over 10")
-    return group
-
-
 def cmd_limit(args) -> None:
-    group = _named_group(args.group)
-    nucleus = compute_nucleus(group, _budget(args))
+    group = _group(args)
+    nucleus = compute_nucleus(group)
     _print_graph(quotient_graph(nucleus, args.level), args.format)
 
 
 def cmd_moore(args) -> None:
-    group = catalogue.resolve_group(args.group)
-    nucleus = compute_nucleus(group, _budget(args))
+    group = _group(args)
+    nucleus = compute_nucleus(group)
     _print_graph(moore_diagram(nucleus), args.format)
 
 
 def cmd_schreier(args) -> None:
-    group = _named_group(args.group)
+    group = _group(args)
     _print_graph(schreier_graph(group, args.level), args.format)
 
 
 def cmd_m_invariant(args) -> None:
+    _check_digits(args.alphabet)
     data = json.loads(args.antichain)
     if not isinstance(data, list):
         raise ValueError("the antichain must be a JSON list of words")

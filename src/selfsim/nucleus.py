@@ -9,20 +9,20 @@ on or hang off a cycle of the automaton of pairs, read off the machine's
 tables) are interned and adjoined, until no new state appears.
 Exhausting the state or depth budget yields a bounded "not contracting
 within budget" verdict, never a theorem.
+
+The budget is the one `Budget` the group's machine holds
+(`group.machine.budget`).  It bounds the states one search adds: the
+nucleus search and the self-replication search each count the identity
+and every state added since they began.  Outside a search it bounds the
+states one intern adds: one product, one inverse or one word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
 
-from .ssgroup import IDENTITY, BudgetExceeded, GenWord, GroupDef, Perm, _tarjan_sccs, reachable
-
-
-@dataclass(frozen=True)
-class Budget:
-    max_states: int = 5_000
-    max_depth: int = 64
+from .ssgroup import (IDENTITY, Budget, BudgetExceeded, GenWord, GroupDef, Perm, _tarjan_sccs,
+                      reachable)
 
 
 class NotContractingError(Exception):
@@ -76,9 +76,9 @@ class Nucleus:
     def __iter__(self):
         return iter(range(len(self.ids)))
 
-    def index_of(self, word: GenWord, **kw) -> int | None:
+    def index_of(self, word: GenWord) -> int | None:
         """Index of the state of a word, or None when it lies outside."""
-        return self.index.get(self.group.machine.intern(word, **kw))
+        return self.index.get(self.group.machine.intern(word))
 
     def to_json(self) -> dict:
         return {
@@ -88,25 +88,21 @@ class Nucleus:
         }
 
 
-def _generator_states(group: GroupDef, **kw) -> list[int]:
-    """Machine states of each generator followed by its inverse, interned
-    in that order; `kw` are the intern budget limits."""
+def _generator_states(group: GroupDef, sym: str) -> tuple[int, int]:
+    """Machine states of the generator `sym` and of its inverse, interned in
+    that order."""
     machine = group.machine
-    out = []
-    for sym in group.generators:
-        sid = machine.intern(GenWord([(sym, 1)]), **kw)
-        out += (sid, machine.inverse_state(sid, **kw))
-    return out
+    sid = machine.intern(GenWord([(sym, 1)]))
+    return sid, machine.inverse_state(sid)
 
 
-def section_closure(group: GroupDef, words, budget: Budget = Budget()) -> list[GenWord]:
+def section_closure(group: GroupDef, words) -> list[GenWord]:
     """Smallest set of canonical states containing the given words (and the
     identity) and closed under sections; returned as representative words."""
     machine = group.machine
     roots = {machine.identity}
     for w in words:
-        roots.add(machine.intern(group.word(w), max_states=budget.max_states,
-                                 max_depth=budget.max_depth))
+        roots.add(machine.intern(group.word(w)))
     closed = machine.reachable(roots)
     return sorted((machine.reps[s] for s in closed), key=lambda w: (len(w), str(w)))
 
@@ -135,9 +131,9 @@ def _persistent_states(kids, roots) -> set:
     return alive
 
 
-def _deep_products(machine, left, right, **kw) -> set[int]:
+def _deep_products(machine, left, right) -> set[int]:
     """States of the deep sections of the products g*h, g in `left` and h
-    in `right`; `kw` are the intern budget limits.
+    in `right`.
 
     Sections of products are products, (g*h)|_x = g|_{h(x)} * h|_x, so the
     pairs (g, h) form a finite automaton, read off the machine's tables;
@@ -154,10 +150,10 @@ def _deep_products(machine, left, right, **kw) -> set[int]:
         if pair not in pairs:
             pairs[pair] = machine.pair_row(pair)[1]
             stack.extend(pairs[pair])
-    return {machine.product_state(g, h, **kw) for g, h in sorted(_persistent_states(pairs, pairs))}
+    return {machine.product_state(g, h) for g, h in sorted(_persistent_states(pairs, pairs))}
 
 
-def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
+def compute_nucleus(group: GroupDef) -> Nucleus:
     """Fixed point of absorbing N*S, where S is the section closure of the
     identity, the generators and their inverses: each round multiplies only
     the previous round's new states, on the right, by S and adjoins the
@@ -166,27 +162,30 @@ def compute_nucleus(group: GroupDef, budget: Budget = Budget()) -> Nucleus:
     sections of every element, and since the nucleus is closed under
     inverses the fixed point is too.
 
-    Raises NotContractingError when the state or depth budget runs out;
-    that verdict is always "not contracting within budget", the property
-    itself is only semi-decidable.  It reports the candidate count after
-    each finished round.
+    Raises NotContractingError when the machine's state or depth budget
+    runs out; that verdict is always "not contracting within budget", the
+    property itself is only semi-decidable.  It reports the candidate count
+    after each finished round, or before the first round the generator
+    being interned.
     """
     machine = group.machine
-    kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
     rounds: list[int] = []
-    try:
-        roots = {machine.identity, *_generator_states(group, **kw)}
-        current = machine.reachable(roots)
-        right = sorted(current)
-        new = current
-        while new:
-            rounds.append(len(current))
-            if len(current) > budget.max_states:
-                raise NotContractingError(budget, f"{len(current)} states and growing", rounds)
-            new = _deep_products(machine, sorted(new), right, **kw) - current
-            current |= new
-    except BudgetExceeded as exc:
-        raise NotContractingError(budget, str(exc), rounds) from None
+    with machine.search():
+        try:
+            roots = {machine.identity}
+            for sym in group.generators:
+                roots.update(_generator_states(group, sym))
+            current = machine.reachable(roots)
+            right = sorted(current)
+            new = current
+            while new:
+                rounds.append(len(current))
+                new = _deep_products(machine, sorted(new), right) - current
+                current |= new
+        except BudgetExceeded as exc:
+            # before the first round, only the generators are interned
+            detail = str(exc) if rounds else f"{exc} interning generator {sym}"
+            raise NotContractingError(machine.budget, detail, rounds) from None
     return Nucleus(group, current)
 
 
@@ -207,17 +206,17 @@ def is_regular(nucleus: Nucleus) -> bool:
                for scc in _tarjan_sccs(edges, edges.__getitem__))
 
 
-def is_self_replicating(group: GroupDef, radius: int, budget: Budget = Budget()) -> str:
+def is_self_replicating(group: GroupDef, radius: int) -> str:
     """"yes" iff for every pair of letters x, y some element of length at
     most `radius` maps x to y with trivial section there; "unknown" when
     the search ball is exhausted (the property itself is not refuted).
-    Interning past the budget raises BudgetExceeded, which names the search
-    and how many of its `radius` ball levels it finished."""
+    Interning past the machine's budget, which the search counts from its
+    own start, raises BudgetExceeded, which names the search and how many
+    of its `radius` ball levels it finished."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     machine = group.machine
     d = group.d
-    kw = {"max_states": budget.max_states, "max_depth": budget.max_depth}
     needed = {(x, y) for x in range(d) for y in range(d)}
 
     def scan(sid: int):
@@ -230,23 +229,24 @@ def is_self_replicating(group: GroupDef, radius: int, budget: Budget = Budget())
     frontier = [machine.identity]
     scan(machine.identity)
     level = 0  # ball levels finished, for the budget verdict
-    try:
-        gens = _generator_states(group, **kw)
-        for level in range(radius):
-            nxt = []
-            for s in frontier:
-                for g in gens:
-                    t = machine.product_state(s, g, **kw)
-                    if t not in ball:
-                        ball.add(t)
-                        nxt.append(t)
-                        scan(t)
-                        if not needed:
-                            return "yes"
-            frontier = nxt
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(f"self-replication search: {exc} after {level} of "
-                             f"{radius} ball levels") from None
+    with machine.search():
+        try:
+            gens = [s for sym in group.generators for s in _generator_states(group, sym)]
+            for level in range(radius):
+                nxt = []
+                for s in frontier:
+                    for g in gens:
+                        t = machine.product_state(s, g)
+                        if t not in ball:
+                            ball.add(t)
+                            nxt.append(t)
+                            scan(t)
+                            if not needed:
+                                return "yes"
+                frontier = nxt
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"self-replication search: {exc} after {level} of "
+                                 f"{radius} ball levels") from None
     return "yes" if not needed else "unknown"
 
 
@@ -264,9 +264,19 @@ def is_level_transitive(group: GroupDef, n: int) -> bool:
 def nucleus_products(nucleus: Nucleus) -> list[int]:
     """Machine states of the products of two nucleus states, i acting after
     j: pair (i, j) at index i*|N| + j.  They are interned in that order,
-    which fixes the reps of the states they create."""
+    which fixes the reps of the states they create.  Each product has the
+    whole budget; one past it raises BudgetExceeded, which names how many
+    products were done."""
     machine = nucleus.group.machine
-    return [machine.product_state(i, j) for i in nucleus.ids for j in nucleus.ids]
+    out: list[int] = []
+    try:
+        for i in nucleus.ids:
+            for j in nucleus.ids:
+                out.append(machine.product_state(i, j))
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{exc} after {len(out)} of {len(nucleus) ** 2} nucleus "
+                             "products") from None
+    return out
 
 
 def length3_index_triples(nucleus: Nucleus) -> list[tuple[int, int, int]]:

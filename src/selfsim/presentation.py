@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
-from .nucleus import Budget, Nucleus, compute_nucleus, length3_index_triples
+from .nucleus import Nucleus, compute_nucleus, length3_index_triples
 from .ssgroup import GenWord, GroupDef, Perm
 from .vg import Table, thompson_from_antichains
 from .words import Antichain, Word, coarsen, format_word, is_antichain
@@ -295,10 +295,10 @@ def relators_S(nucleus: Nucleus) -> list[Relator]:
     return out
 
 
-def emit_presentation(group: GroupDef, budget: Budget = Budget()) -> PresentationBundle:
+def emit_presentation(group: GroupDef) -> PresentationBundle:
     """Generator letters and the three relator families, with the
     prefix-replacement part of the presentation kept as an opaque import."""
-    nucleus = compute_nucleus(group, budget)
+    nucleus = compute_nucleus(group)
     relators = {
         "C": relators_C(nucleus),
         "N": relators_N(nucleus),

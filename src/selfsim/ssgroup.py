@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
+from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -288,6 +290,15 @@ class BudgetExceeded(Exception):
     """State exploration hit its configured limit before closing."""
 
 
+@dataclass(frozen=True)
+class Budget:
+    """The new states (see `Machine.search`) and the section depth that one
+    intern may reach; a group's machine holds one."""
+
+    max_states: int = 5_000
+    max_depth: int = 64
+
+
 _NAME_RE = re.compile(r"^[a-df-z]$")  # single letter; "e" is the identity
 
 
@@ -497,11 +508,11 @@ class GroupDef:
                     queue.append((sec, path + (x,)))
         return Verdict("trivial")
 
-    def are_equal(self, g: GenWord, h: GenWord, limit: int = 10_000) -> Verdict:
+    def are_equal(self, g: GenWord, h: GenWord) -> Verdict:
         """Equality in the group acting on the tree; reduces to triviality
         of g h^-1.  The witness, if any, is a word the two images disagree on."""
         g, h = self.word(g), self.word(h)
-        res = self.is_trivial(g * h.inverse(), limit)
+        res = self.is_trivial(g * h.inverse())
         if res.status == "trivial":
             return Verdict("equal")
         if res.status == "nontrivial":
@@ -544,28 +555,39 @@ class Machine:
         self._cycle: list[range | None] = []  # cyclic cluster of each state
         self._inverses: dict[int, int] = {}
         self._products: dict[tuple[int, int], int] = {}
+        self.budget = Budget()
+        self._base: int | None = None  # states a search started from, less the identity
         self.identity = self.intern(IDENTITY)
 
     def __len__(self):
         return len(self.perms)
 
-    def intern(self, word: GenWord, max_states: int = 100_000,
-               max_depth: int = 512) -> int:
+    @contextmanager
+    def search(self):
+        """Within the block, interns count against the budget the identity
+        and every state added since the block began, not only their own."""
+        outer, self._base = self._base, len(self.perms) - 1
+        try:
+            yield
+        finally:
+            self._base = outer
+
+    def intern(self, word: GenWord) -> int:
         """State of a word.  Besides the budget of `_intern`, a section word
-        longer than both `max_states` and the word itself raises."""
+        longer than both the state budget and the word itself raises."""
         word = self.group.word(word)
-        longest = max(max_states, len(word))
+        longest = max(self.budget.max_states, len(word))
 
         def row(w: GenWord):
             if len(w) > longest:
                 raise BudgetExceeded(f"section length exceeded {longest}")
             return self.group.wreath(w)
 
-        return self._intern(word, row, self._by_word, lambda w: w, max_states, max_depth)
+        return self._intern(word, row, self._by_word, lambda w: w)
 
-    def product_state(self, s1: int, s2: int, **kw) -> int:
+    def product_state(self, s1: int, s2: int) -> int:
         return self._intern((s1, s2), self.pair_row, self._products,
-                            lambda pair: self.reps[pair[0]] * self.reps[pair[1]], **kw)
+                            lambda pair: self.reps[pair[0]] * self.reps[pair[1]])
 
     def pair_row(self, pair: tuple[int, int]) -> tuple[Perm, tuple[tuple[int, int], ...]]:
         """Permutation and section pairs of the product of a pair of states,
@@ -575,12 +597,12 @@ class Machine:
         return (tuple(map(self.perms[g].__getitem__, ph)),
                 tuple(zip(map(kg.__getitem__, ph), self.kids[h])))
 
-    def inverse_state(self, sid: int, **kw) -> int:
+    def inverse_state(self, sid: int) -> int:
         def row(s):  # inverted permutation; at x the inverse of the section at its preimage
             inv = invert_perm(self.perms[s])
             return inv, tuple(map(self.kids[s].__getitem__, inv))
 
-        return self._intern(sid, row, self._inverses, lambda s: self.reps[s].inverse(), **kw)
+        return self._intern(sid, row, self._inverses, lambda s: self.reps[s].inverse())
 
     # Collect the root's unknown nodes breadth first, then settle their
     # graph one strongly connected component at a time, descendants first,
@@ -590,14 +612,16 @@ class Machine:
     # `memo` the states of nodes met before, and `word_of` a word for it,
     # asked only of nodes of new states, whose rep is the shortest, then
     # least, such word.  The work grows with the new nodes and the clusters
-    # they point into, not with the machine.  The budget bounds the states
-    # and the section depth.
-    def _intern(self, root, row, memo: dict, word_of, max_states: int = 100_000,
-                max_depth: int = 512) -> int:
+    # they point into, not with the machine.  The budget bounds the section
+    # depth and the new nodes: those of this call, or within a search those
+    # of the whole search.
+    def _intern(self, root, row, memo: dict, word_of) -> int:
         hit = memo.get(root)
         if hit is not None:
             return hit
 
+        max_states, max_depth = self.budget.max_states, self.budget.max_depth
+        room = max_states if self._base is None else max_states + self._base - len(self.perms)
         unknown: dict = {}  # node -> (perm, refs), each ref ("s", id) or ("n", node)
         queue = deque([(root, 0)])
         while queue:
@@ -607,7 +631,7 @@ class Machine:
             if depth > max_depth:
                 raise BudgetExceeded(f"section depth exceeded {max_depth}")
             perm, sections = row(node)
-            if len(unknown) + len(self.perms) >= max_states:
+            if len(unknown) >= room:
                 raise BudgetExceeded(f"state budget {max_states} exhausted")
             refs: list[tuple[str, object]] = []
             for sec in sections:

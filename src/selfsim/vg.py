@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import itemgetter
 
-from .nucleus import Budget, NotContractingError, compute_nucleus, nucleus_products
+from .nucleus import NotContractingError, compute_nucleus, nucleus_products
 from .ssgroup import BudgetExceeded, GenWord, GroupDef, perm_parity
 from .words import (
     Antichain,
@@ -213,15 +213,15 @@ class Table:
         permutation and the states of its entries are the row of a nucleus
         state or of a product of two (`nucleus_products`), into that state's
         representative; the result is a normal form up to that search bound,
-        and table equality never depends on it.  Each entry may add up to
-        the default `Budget.max_states` states to the group's machine,
-        however many the products put there; an entry past that keeps its
-        word and its family unmerged.  Without a computable nucleus the
-        table is returned merge-free.
+        and table equality never depends on it.  Each entry may add as many
+        states as the machine's budget allows, however many the products
+        put there; an entry past that keeps its word and its family
+        unmerged.  Without a computable nucleus the table is returned
+        merge-free.
         """
-        group, budget = self.group, Budget()
+        group = self.group
         try:
-            nucleus = compute_nucleus(group, budget)
+            nucleus = compute_nucleus(group)
         except NotContractingError:
             return self
         machine = group.machine
@@ -230,8 +230,7 @@ class Table:
 
         def state(g: GenWord) -> int | None:
             try:
-                return machine.intern(g, max_states=len(machine) + budget.max_states,
-                                      max_depth=budget.max_depth)
+                return machine.intern(g)
             except BudgetExceeded:
                 return None
 

@@ -64,6 +64,13 @@ def test_abel_examples(capsys):
     assert code == 0 and out.strip() == "Z"
 
 
+def test_abel_past_a_hundred_thousand_product_states(capsys):
+    """The 343² products of kneading:0^17's nucleus states take the machine
+    past 110 000 states; each product counts only the states it adds."""
+    code, out, err = run(capsys, "abel", "kneading:" + "0" * 17)
+    assert (code, out, err) == (0, "Z\n", "")
+
+
 def test_nucleus_output(capsys):
     code, out, _ = run(capsys, "nucleus", "adding")
     assert code == 0
@@ -126,13 +133,24 @@ def test_bad_nucleus_cache_is_recomputed(capsys, tmp_path, name, content):
 
 
 def test_check_keeps_the_budget_for_self_replication(capsys):
-    """grigorchuk's nucleus does not fit in 5 states, and the
-    self-replication search runs out of that budget too: exit 2 with
-    nothing on standard output, and a verdict that names the search and
-    how many of its ball levels it finished."""
-    code, out, err = run(capsys, "check", "grigorchuk", "--budget-states", "5")
+    """Within 2 states the self-replication search itself runs out: exit 2
+    with nothing on standard output, and a verdict that names the search
+    and how many of its ball levels it finished."""
+    code, out, err = run(capsys, "check", "grigorchuk", "--budget-states", "2")
     assert code == 2 and out == ""
-    assert err == "self-replication search: state budget 5 exhausted after 0 of 4 ball levels\n"
+    assert err == "self-replication search: state budget 2 exhausted after 0 of 4 ball levels\n"
+
+
+def test_check_gives_self_replication_its_own_budget(capsys):
+    """grigorchuk's nucleus does not fit in 5 states; the self-replication
+    search then counts only the states it adds itself, so it still answers."""
+    code, out, err = run(capsys, "check", "grigorchuk", "--budget-states", "5")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "contracting: not contracting within budget Budget(max_states=5, max_depth=64): "
+        "state budget 5 exhausted interning generator b",
+        "self-replicating (radius 4): yes",
+        "level-transitive up to 6: yes"]
 
 
 def test_vg_verbs(capsys):
@@ -363,6 +381,26 @@ def test_graphs_past_ten_letters_exit_1(capsys, tmp_path, argv):
     walk, so even a level too deep to build gets this reason."""
     path = tmp_path / "eleven.txt"
     path.write_text(ELEVEN)
+    code, out, err = run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == "error: vertex names take one digit per letter: 11 letters is over 10\n"
+
+
+# the word a moves 10 to 0, which one digit per letter would print as 100
+ELEVEN_WP = ("alphabet: 11\na = ()(e, e, e, e, e, e, e, e, e, e, b)\n"
+             "b = (1 0)(e, e, e, e, e, e, e, e, e, e, e)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["wp", "FILE", "a"],
+    ["vg", "FILE", "apply", '{"domain":["e"],"entries":["a"],"range":["e"]}', "0"],
+    ["m-invariant", "--alphabet", "11", '["0"]']])
+def test_words_past_ten_letters_exit_1(capsys, tmp_path, argv):
+    """A word written one digit per letter is ambiguous past 10 letters, so
+    `wp`, `vg` and `m-invariant` refuse such an alphabet as the graph
+    commands do, with nothing on standard output."""
+    path = tmp_path / "eleven.txt"
+    path.write_text(ELEVEN_WP)
     code, out, err = run(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
     assert (code, out) == (1, "")
     assert err == "error: vertex names take one digit per letter: 11 letters is over 10\n"

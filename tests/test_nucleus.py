@@ -74,8 +74,9 @@ def test_long_verdict_names_only_the_first_and_last_rounds():
     """Past ten rounds the message elides the middle counts; `rounds`
     keeps them all."""
     group = GroupDef.parse("alphabet: 3\na = (0 2)(e, a, a)\n")
+    group.machine.budget = Budget(max_states=300)
     with pytest.raises(NotContractingError) as info:
-        compute_nucleus(group, Budget(max_states=300))
+        compute_nucleus(group)
     rounds = info.value.rounds
     assert len(rounds) == 149
     first, last = ", ".join(map(str, rounds[:3])), ", ".join(map(str, rounds[-3:]))
@@ -89,7 +90,7 @@ def test_long_kneading_nucleus_fits_the_default_budget(kneading, size):
     generators' closure are interned, so the machine holds the nucleus and
     nothing else."""
     group = kneading_group(kneading)
-    nucleus = compute_nucleus(group, Budget())
+    nucleus = compute_nucleus(group)
     assert len(nucleus) == size
     assert len(group.machine) == len(nucleus)
 
@@ -119,7 +120,8 @@ def is_nucleus(group, states) -> bool:
     machine = group.machine
     sids = [machine.intern(group.word(text)) for text in states]
     ids = machine.reachable([*sids, *(machine.inverse_state(s) for s in sids)])
-    start = machine.reachable([machine.identity, *_generator_states(group)])
+    start = machine.reachable([machine.identity, *(s for sym in group.generators
+                                                    for s in _generator_states(group, sym))])
     return (sorted(sids) == sorted(ids)
             and ids == start | _persistent_states(machine.kids, ids)
             and _deep_products(machine, sorted(ids), start) <= ids)
@@ -131,8 +133,10 @@ def test_computed_nucleus_passes_the_independent_check(automaton):
     """Whenever the closure stops, the check accepts its printed words,
     interned in a fresh group, as the nucleus."""
     d, recursion = automaton
+    group = GroupDef(d, recursion)
+    group.machine.budget = Budget(max_states=1_000)
     try:
-        nucleus = compute_nucleus(GroupDef(d, recursion), Budget(max_states=1_000))
+        nucleus = compute_nucleus(group)
     except NotContractingError:
         return
     assert is_nucleus(GroupDef(d, recursion), nucleus.to_json()["states"])
@@ -255,9 +259,10 @@ def test_self_replicating(adding, basilica, grigorchuk):
 
 def test_self_replication_budget_says_how_far_the_search_got():
     group = GroupDef.parse("alphabet: 3\na = (0 2)(e, a, a)\n")
+    group.machine.budget = Budget(max_states=10)
     with pytest.raises(BudgetExceeded, match=r"^self-replication search: state budget 10 "
                        r"exhausted after 4 of 8 ball levels$"):
-        is_self_replicating(group, 8, Budget(max_states=10))
+        is_self_replicating(group, 8)
 
 
 def test_level_transitive(adding, grigorchuk):
@@ -341,3 +346,22 @@ def test_nucleus_products_match_interned_words(spec):
     assert [str(group.machine.reps[s]) for s in states] == [
         str(by_word.machine.reps[s]) for s in word_states]
     assert states == [group.machine.intern(w) for w in words]
+
+
+def test_nucleus_products_read_the_machine_budget():
+    """A budget set after the nucleus is computed bounds each product on its
+    own: no product of kneading:00000 adds more than 6 states, though they
+    add 1 512 in all, and under 3 states the verdict names that budget and
+    the products done."""
+    group = resolve_group("kneading:00000")
+    nucleus = compute_nucleus(group)
+    group.machine.budget = Budget(max_states=3)
+    with pytest.raises(BudgetExceeded, match=r"^state budget 3 exhausted after 13 of 1849 "
+                       r"nucleus products$"):
+        nucleus_products(nucleus)
+    fresh = resolve_group("kneading:00000")
+    fresh_nucleus = compute_nucleus(fresh)
+    fresh.machine.budget = Budget(max_states=6)
+    assert nucleus_products(fresh_nucleus) == nucleus_products(compute_nucleus(
+        resolve_group("kneading:00000")))
+    assert len(fresh.machine) == 43 + 1_512

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from selfsim import resolve_group
-from selfsim.ssgroup import (ALPHABET_LETTERS, BudgetExceeded, GenWord, GroupDef, check_level,
-                             level_permutation, perm_from_cycles, perm_parity, perm_to_cycles)
+from selfsim.ssgroup import (ALPHABET_LETTERS, Budget, BudgetExceeded, GenWord, GroupDef,
+                             check_level, level_permutation, perm_from_cycles, perm_parity,
+                             perm_to_cycles)
 from selfsim.words import parse_word
 
 
@@ -356,6 +357,34 @@ def test_machine_interning_identifies_equal_elements(grigorchuk):
     assert m.intern(grigorchuk.word("ab")) != m.intern(grigorchuk.word("ba"))
 
 
+@pytest.mark.parametrize("budget, message", [
+    (Budget(max_states=1), "state budget 1 exhausted"),
+    (Budget(max_states=3), "state budget 3 exhausted"),
+    (Budget(max_depth=1), "section depth exceeded 1")])
+def test_intern_reads_the_machine_budget(budget, message):
+    """Interning grigorchuk's b adds four states, b, a, c and d, two
+    sections deep; under the machine's budget it stops with a verdict that
+    names that budget."""
+    group = resolve_group("grigorchuk")
+    m = group.machine
+    m.budget = budget
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+        m.intern(group.word("b"))
+
+
+def test_intern_counts_only_the_states_it_adds():
+    """Outside a search, the states already in the machine do not count:
+    with the identity, b's four states fill the machine past a budget of 4,
+    and ab still has room for its own."""
+    group = resolve_group("grigorchuk")
+    m = group.machine
+    m.budget = Budget(max_states=4)
+    m.intern(group.word("b"))
+    assert len(m) == 5
+    m.intern(group.word("ab"))
+    assert len(m) == 6
+
+
 def test_witness_words_are_valid(basilica):
     rng = random.Random(4)
     for _ in range(40):
@@ -459,19 +488,20 @@ def test_machine_stays_minimal_and_correct(spec, ops):
     words interned to it do, and every rep interning back to its state."""
     group = GroupDef.parse(spec) if spec.startswith("alphabet") else resolve_group(spec)
     m = group.machine
+    m.budget = Budget(max_states=300)
     gens = group.generators
     interned = []
     for op in ops:
         try:
             if op[0] == "word":
                 w = GenWord([(gens[i % len(gens)], e) for i, e in op[1]])
-                interned.append((w, m.intern(w, max_states=300)))
+                interned.append((w, m.intern(w)))
             elif op[0] == "product":
                 s, t = op[1] % len(m), op[2] % len(m)
-                interned.append((m.reps[s] * m.reps[t], m.product_state(s, t, max_states=300)))
+                interned.append((m.reps[s] * m.reps[t], m.product_state(s, t)))
             else:
                 s = op[1] % len(m)
-                interned.append((m.reps[s].inverse(), m.inverse_state(s, max_states=300)))
+                interned.append((m.reps[s].inverse(), m.inverse_state(s)))
         except BudgetExceeded:
             pass
     block, count = list(m.perms), None

@@ -539,13 +539,13 @@ def test_canonical_form_interns_each_entry_once(monkeypatch, spec):
     computed beforehand)."""
     group = resolve_group(spec)
     nucleus = compute_nucleus(group)
-    monkeypatch.setattr("selfsim.vg.compute_nucleus", lambda g, budget: nucleus)
+    monkeypatch.setattr("selfsim.vg.compute_nucleus", lambda g: nucleus)
     calls = []
     intern = Machine.intern
 
-    def counted(self, word, **kw):
+    def counted(self, word):
         calls.append(str(word))
-        return intern(self, word, **kw)
+        return intern(self, word)
 
     monkeypatch.setattr(Machine, "intern", counted)
     merged = 0
