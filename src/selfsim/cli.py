@@ -22,7 +22,6 @@ from .abelian import (
 )
 from .limitspace import moore_diagram, quotient_graph, schreier_graph
 from .nucleus import (
-    Budget,
     NotContractingError,
     compute_nucleus,
     is_level_transitive,
@@ -30,7 +29,7 @@ from .nucleus import (
     is_self_replicating,
 )
 from .presentation import UndecidedError, emit_presentation, verify_relator
-from .ssgroup import BudgetExceeded, GroupDef, perm_to_cycles
+from .ssgroup import Budget, BudgetExceeded, GroupDef, perm_to_cycles
 from .vg import Table
 from .words import Antichain, format_word, m_invariant, parse_word
 
@@ -42,14 +41,14 @@ def _check_digits(d: int) -> None:
 
 
 def _group(args) -> GroupDef:
-    """The command's group.  Its machine holds the command's budget, if the
-    command takes one; a command that writes words refuses an alphabet past
-    10 letters."""
+    """The command's group.  It holds the command's budget, if the command
+    takes one; a command that writes words refuses an alphabet past 10
+    letters."""
     group = catalogue.resolve_group(args.group)
     if args.command in ("wp", "vg", "limit", "schreier"):
         _check_digits(group.d)
     if hasattr(args, "budget_states"):
-        group.machine.budget = Budget(args.budget_states, args.budget_depth)
+        group.budget = Budget(args.budget_states, args.budget_depth)
     return group
 
 
@@ -105,8 +104,7 @@ def cmd_check(args) -> None:
 
 
 def cmd_wp(args) -> tuple[str, int]:
-    group = _group(args)
-    verdict = group.is_trivial(group.word(args.word), args.depth_limit)
+    verdict = _group(args).is_trivial(args.word)
     if verdict.status == "nontrivial":
         return f"nontrivial (moves {format_word(verdict.witness)})", 0
     return verdict.status, 2 if verdict.status == "undecided" else 0
@@ -128,8 +126,7 @@ def cmd_vg(args) -> tuple[str, int] | None:
     elif args.verb == "inv":
         print(json.dumps(_load_table(group, args.args[0]).inverse().to_json()))
     elif args.verb == "eq":
-        status = _load_table(group, args.args[0]).equals(
-            _load_table(group, args.args[1]), args.depth_limit)
+        status = _load_table(group, args.args[0]).equals(_load_table(group, args.args[1]))
         return status, 2 if status == "undecided" else 0
     elif args.verb == "canon":
         print(json.dumps(_load_table(group, args.args[0]).canonical_form().to_json()))
@@ -205,11 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True):
+    def common(p, budget=True, no_cache=True):
         p.add_argument("group", help="catalogue name, kneading:BITS, trivial:D, or file")
         if budget:
-            p.add_argument("--budget-states", type=int, default=5000)
-            p.add_argument("--budget-depth", type=int, default=64)
+            p.add_argument("--budget-states", type=int, default=Budget.max_states)
+            p.add_argument("--budget-depth", type=int, default=Budget.max_depth)
+        if budget and no_cache:
             p.add_argument("--no-cache", action="store_true",
                            help="accepted for compatibility; has no effect")
 
@@ -230,14 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wp", help="word problem: is the element trivial")
     common(p, budget=False)
     p.add_argument("word")
-    p.add_argument("--depth-limit", type=int, default=10_000)
-    p.set_defaults(func=cmd_wp)
+    p.add_argument("--budget-states", type=int, default=Budget.max_states)
+    p.set_defaults(func=cmd_wp, budget_depth=Budget.max_depth)
 
     p = sub.add_parser("vg", help="table arithmetic (JSON tables or @file)")
-    common(p, budget=False)
+    common(p, no_cache=False)
     p.add_argument("verb", choices=["mul", "inv", "eq", "canon", "apply"])
     p.add_argument("args", nargs="+")
-    p.add_argument("--depth-limit", type=int, default=10_000)
     p.set_defaults(func=cmd_vg)
 
     p = sub.add_parser("abel", help="abelianization of the table group")

@@ -10,8 +10,8 @@ tables) are interned and adjoined, until no new state appears.
 Exhausting the state or depth budget yields a bounded "not contracting
 within budget" verdict, never a theorem.
 
-The budget is the one `Budget` the group's machine holds
-(`group.machine.budget`).  It bounds the states one search adds: the
+The budget is the one `Budget` the group holds (`group.budget`), which
+its machine reads.  It bounds the states one search adds: the
 nucleus search and the self-replication search each count the identity
 and every state added since they began.  Outside a search it bounds the
 states one intern adds: one product, one inverse or one word.
@@ -185,7 +185,7 @@ def compute_nucleus(group: GroupDef) -> Nucleus:
         except BudgetExceeded as exc:
             # before the first round, only the generators are interned
             detail = str(exc) if rounds else f"{exc} interning generator {sym}"
-            raise NotContractingError(machine.budget, detail, rounds) from None
+            raise NotContractingError(group.budget, detail, rounds) from None
     return Nucleus(group, current)
 
 
@@ -210,7 +210,7 @@ def is_self_replicating(group: GroupDef, radius: int) -> str:
     """"yes" iff for every pair of letters x, y some element of length at
     most `radius` maps x to y with trivial section there; "unknown" when
     the search ball is exhausted (the property itself is not refuted).
-    Interning past the machine's budget, which the search counts from its
+    Interning past the group's budget, which the search counts from its
     own start, raises BudgetExceeded, which names the search and how many
     of its `radius` ball levels it finished."""
     if radius < 1:

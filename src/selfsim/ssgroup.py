@@ -47,11 +47,8 @@ def perm_from_cycles(text: str, d: int) -> Perm:
     """Parse cycle notation like "(0 1)(2 3)"; "()" is the identity."""
     mapping = list(range(d))
     for cyc in re.findall(r"\(([^()]*)\)", text):
-        items = [s for s in cyc.replace(",", " ").split() if s]
-        if not items:
-            continue
         try:
-            pts = [int(s) for s in items]
+            pts = [int(s) for s in cyc.replace(",", " ").split()]
         except ValueError:
             raise ValueError(f"bad cycle {cyc!r}") from None
         if len(set(pts)) != len(pts):
@@ -293,13 +290,20 @@ class BudgetExceeded(Exception):
 @dataclass(frozen=True)
 class Budget:
     """The new states (see `Machine.search`) and the section depth that one
-    intern may reach; a group's machine holds one."""
+    intern may reach; a group holds one for its machine and word problem."""
 
     max_states: int = 5_000
     max_depth: int = 64
 
+    def __post_init__(self):
+        if self.max_states < 0 or self.max_depth < 0:
+            raise ValueError(f"a budget cannot be negative: {self}")
+
 
 _NAME_RE = re.compile(r"^[a-df-z]$")  # single letter; "e" is the identity
+# a generator line: name = cycle groups, then one group of sections, with
+# only whitespace between the groups
+_GENERATOR_RE = re.compile(r"([^=\s]*)\s*=\s*((?:\([^()]*\)\s*)*)\(([^()]*)\)")
 
 
 class GroupDef:
@@ -344,6 +348,7 @@ class GroupDef:
         self._pairs = frozenset(p for sym in rec for p in (sym + sym.upper(), sym.upper() + sym))
         # the step table of `wreath`, one dict per tuple of letter images
         self._steps: dict[Perm, dict] = {identity_perm(d): {}}
+        self.budget = Budget()
         self._machine: Machine | None = None
 
     # -- parsing and printing -------------------------------------------
@@ -352,41 +357,38 @@ class GroupDef:
     def parse(cls, text: str, name: str | None = None) -> "GroupDef":
         """Parse the group-definition text format.
 
-        Header "alphabet: d", then one line per generator:
+        One header "alphabet: d", then one line per generator:
         name = (cycles)(s_0, s_1, ..., s_{d-1}); '#' starts a comment.
         """
         d = None
-        gen_lines: list[tuple[str, str]] = []
+        gen_lines: list[tuple[str, str, str]] = []
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.lower().startswith("alphabet"):
+                if d is not None:
+                    raise ValueError(f"second alphabet header {line!r}")
                 try:
                     d = int(line.split(":", 1)[1])
                 except (IndexError, ValueError):
                     raise ValueError(f"bad alphabet header {line!r}") from None
                 continue
-            if "=" not in line:
+            match = _GENERATOR_RE.fullmatch(line)
+            if match is None:
                 raise ValueError(f"bad generator line {line!r}")
-            sym, rhs = (part.strip() for part in line.split("=", 1))
-            gen_lines.append((sym, rhs))
+            gen_lines.append(match.groups())
         if d is None:
             raise ValueError("missing 'alphabet: d' header")
         if d > ALPHABET_LETTERS:  # before the cycles build d-letter permutations
             raise ValueError(f"alphabet must have at most {ALPHABET_LETTERS} letters")
         recursion = {}
-        for sym, rhs in gen_lines:
+        for sym, cycles_text, sections_text in gen_lines:
             if sym in recursion:
                 raise ValueError(f"generator {sym!r} is defined twice")
-            groups = re.findall(r"\([^()]*\)", rhs)
-            if not groups:
-                raise ValueError(f"bad recursion for {sym!r}: {rhs!r}")
-            sections_text = groups[-1][1:-1]
-            cycles_text = rhs[: rhs.rindex(groups[-1])]
             sections = tuple(GenWord.parse(part.strip() or "e")
                              for part in sections_text.split(","))
-            perm = perm_from_cycles(cycles_text if cycles_text.strip() else "()", d)
+            perm = perm_from_cycles(cycles_text, d)
             recursion[sym] = (perm, sections)
         return cls(d, recursion, name=name)
 
@@ -480,18 +482,19 @@ class GroupDef:
 
     # -- the word problem --------------------------------------------------
 
-    def is_trivial(self, word: GenWord, limit: int = 10_000) -> Verdict:
+    def is_trivial(self, word: GenWord | str) -> Verdict:
         """Coinductive triviality check.
 
         An element is trivial iff every section (at every vertex) fixes the
         first level; the exploration revisits each reduced section word once,
         accepting cycles.  Returns a moved word as witness when nontrivial,
-        and "undecided" only if more than `limit` distinct section words
-        were explored, or a section grew longer than both `limit` and the
-        word, without closing.
+        and "undecided" when the search would pass the group's state budget
+        before closing: more than `max_states` section words, or one longer
+        than both `max_states` and the word.  Each level down adds a word,
+        so the state count bounds the depth too.
         """
         word = self.word(word)
-        longest = max(limit, len(word))
+        longest = max(self.budget.max_states, len(word))
         seen = {word}
         queue: deque[tuple[GenWord, Word]] = deque([(word, ())])
         while queue:
@@ -502,7 +505,7 @@ class GroupDef:
                     return Verdict("nontrivial", path + (x,))
             for x, sec in enumerate(sections):
                 if sec not in seen:
-                    if len(seen) >= limit or len(sec) > longest:
+                    if len(seen) >= self.budget.max_states or len(sec) > longest:
                         return Verdict("undecided")
                     seen.add(sec)
                     queue.append((sec, path + (x,)))
@@ -555,7 +558,6 @@ class Machine:
         self._cycle: list[range | None] = []  # cyclic cluster of each state
         self._inverses: dict[int, int] = {}
         self._products: dict[tuple[int, int], int] = {}
-        self.budget = Budget()
         self._base: int | None = None  # states a search started from, less the identity
         self.identity = self.intern(IDENTITY)
 
@@ -576,7 +578,7 @@ class Machine:
         """State of a word.  Besides the budget of `_intern`, a section word
         longer than both the state budget and the word itself raises."""
         word = self.group.word(word)
-        longest = max(self.budget.max_states, len(word))
+        longest = max(self.group.budget.max_states, len(word))
 
         def row(w: GenWord):
             if len(w) > longest:
@@ -620,7 +622,7 @@ class Machine:
         if hit is not None:
             return hit
 
-        max_states, max_depth = self.budget.max_states, self.budget.max_depth
+        max_states, max_depth = self.group.budget.max_states, self.group.budget.max_depth
         room = max_states if self._base is None else max_states + self._base - len(self.perms)
         unknown: dict = {}  # node -> (perm, refs), each ref ("s", id) or ("n", node)
         queue = deque([(root, 0)])

@@ -177,7 +177,7 @@ class Table:
                 return u + self.group.act(g, word[len(v) :])
         raise ValueError(f"{format_word(word)} is shorter than the domain antichain")
 
-    def identity_verdict(self, limit: int = 10_000) -> str:
+    def identity_verdict(self) -> str:
         """Whether the table is the identity homeomorphism: "different" at
         the first row that does not map its cylinder onto itself (the
         columns are complete antichains, so the range word must be the
@@ -188,18 +188,18 @@ class Table:
             if u != v:
                 return "different"
             if g:
-                status = self.group.is_trivial(g, limit).status
+                status = self.group.is_trivial(g).status
                 if status == "nontrivial":
                     return "different"
                 undecided = undecided or status == "undecided"
         return "undecided" if undecided else "equal"
 
-    def equals(self, other: "Table", limit: int = 10_000) -> str:
+    def equals(self, other: "Table") -> str:
         """"equal", "different", or "undecided" (word-problem budget ran out):
         the `identity_verdict` of self * other^-1.  Composing refines both
         domains to a common one, and each composed entry is g1 g2^-1 for the
         entries g1, g2 the two tables carry there."""
-        return (self * other.inverse()).identity_verdict(limit)
+        return (self * other.inverse()).identity_verdict()
 
     # -- canonical form ------------------------------------------------------
 
@@ -214,7 +214,7 @@ class Table:
         state or of a product of two (`nucleus_products`), into that state's
         representative; the result is a normal form up to that search bound,
         and table equality never depends on it.  Each entry may add as many
-        states as the machine's budget allows, however many the products
+        states as the group's budget allows, however many the products
         put there; an entry past that keeps its word and its family
         unmerged.  Without a computable nucleus the table is returned
         merge-free.

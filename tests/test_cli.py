@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import selfsim
-from selfsim import GroupDef, kneading_group, resolve_group
+from selfsim import Budget, GroupDef, kneading_group, resolve_group
 from selfsim.abelian import vg_abelianization
 from selfsim.catalogue import builtin_groups
 from selfsim.cli import main
 from selfsim.nucleus import compute_nucleus
 from selfsim.ssgroup import ALPHABET_LETTERS
+from selfsim.vg import Table
 
 
 def run(capsys, *argv):
@@ -93,8 +94,45 @@ def test_exit_codes(capsys):
         code, _, err = run(capsys, "nucleus", path, "--budget-states", "200")
         assert code == 2
         assert "not contracting" in err
-    code, out, _ = run(capsys, "wp", "grigorchuk", "adadadad", "--depth-limit", "3")
+    code, out, _ = run(capsys, "wp", "grigorchuk", "adadadad", "--budget-states", "3")
     assert code == 2 and out.strip() == "undecided"
+
+
+@pytest.mark.parametrize("argv", [
+    ["nucleus", "basilica", "--budget-states", "-1"],
+    ["nucleus", "basilica", "--budget-depth", "-1"],
+    ["wp", "adding", "aa", "--budget-states", "-1"],
+    ["vg", "adding", "canon", '{"domain":["e"],"entries":["a"],"range":["e"]}',
+     "--budget-depth", "-1"],
+])
+def test_negative_budget_is_bad_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a budget cannot be negative")
+
+
+def test_wp_is_bounded_by_states_not_depth(capsys):
+    """In kneading:0^20, a^2m has section a^m 21 levels down, so a^16 first
+    moves a vertex at level 85, past the default depth budget of 64, while
+    its search meets fewer than 200 section words.  Each level adds a word,
+    so the state budget alone bounds the search."""
+    argv = ["wp", "kneading:" + "0" * 20, "a" * 16]
+    assert run(capsys, *argv) == (0, "nontrivial (moves " + "0" * 85 + ")\n", "")
+    assert run(capsys, *argv, "--budget-states", "10") == (2, "undecided\n", "")
+
+
+def test_vg_canon_reads_the_state_budget(capsys):
+    """Within 10 states kneading:0^17's nucleus is out of reach, so `vg
+    canon` prints the split table as given, `canonical_form`'s fallback."""
+    text = '{"domain":["0","1"],"entries":["e","s"],"range":["1","0"]}'
+    code, out, err = run(capsys, "vg", "kneading:" + "0" * 17, "canon", text,
+                         "--budget-states", "10")
+    group = kneading_group("0" * 17)
+    group.budget = Budget(max_states=10)
+    table = Table.from_json(group, json.loads(text))
+    assert table.canonical_form() is table
+    assert (code, out, err) == (0, json.dumps(table.to_json()) + "\n", "")
+    assert json.loads(out)["domain"] == ["0", "1"]
 
 
 BESIDE_FILES = [("basilica", content) for content in [
@@ -467,7 +505,7 @@ def test_closed_output_pipe_keeps_undecided_exit_code():
     env = dict(os.environ, PYTHONPATH=str(Path(selfsim.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen([sys.executable, "-m", "selfsim.cli", "wp", "grigorchuk",
-                             "adadadad", "--depth-limit", "3"], stdout=subprocess.PIPE,
+                             "adadadad", "--budget-states", "3"], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
     err = proc.stderr.read()
@@ -476,9 +514,9 @@ def test_closed_output_pipe_keeps_undecided_exit_code():
 
 
 @pytest.mark.parametrize("argv", [
-    ["wp", "grigorchuk", "adadadad", "--depth-limit", "3"],
+    ["wp", "grigorchuk", "adadadad", "--budget-states", "3"],
     ["vg", "grigorchuk", "eq", '{"domain":["e"],"entries":["adadadad"],"range":["e"]}',
-     '{"domain":["e"],"entries":["e"],"range":["e"]}', "--depth-limit", "3"],
+     '{"domain":["e"],"entries":["e"],"range":["e"]}', "--budget-states", "3"],
 ])
 def test_closed_unbuffered_output_pipe_keeps_undecided_exit_code(argv):
     """The unbuffered twin of the test above: with PYTHONUNBUFFERED the

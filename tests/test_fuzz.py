@@ -142,7 +142,7 @@ def other_commands(draw):
         spec = draw(GROUP_SPECS)
         argv = ["wp", spec, draw(entries("".join(resolve_group(spec).generators)))]
         if draw(st.booleans()):
-            argv += ["--depth-limit", str(draw(st.integers(-1, 50)))]
+            argv += ["--budget-states", str(draw(st.integers(-1, 50)))]
     elif command == "m-invariant":
         words = draw(st.one_of(st.sampled_from(ANTICHAINS), st.lists(VERTICES, max_size=4)))
         argv = ["m-invariant", "--alphabet", str(draw(st.integers(-1, 4))),
@@ -163,10 +163,12 @@ def test_word_antichain_and_portrait_commands_exit_honestly(argv):
 
 
 # lines that break a group file: a generator named twice, a malformed line,
-# a bad header, a cycle naming a letter twice, and a section naming a
-# letter that is not a generator
+# a bad header, a cycle naming a letter twice, a section naming a letter
+# that is not a generator, text around or between the groups, and a second
+# header
 ODD_LINES = ["a = ()(e, e)", "a = (0 1)", "b (0 1)(e, e)", "alphabet: x", "alphabet",
-             "c = (0 0)(e, e)", "c = ()(q, e)", "= ()(e, e)"]
+             "c = (0 0)(e, e)", "c = ()(q, e)", "= ()(e, e)", "c = 7(e, e)",
+             "c = (0 1)(e, e) junk", "c = (0 1)zz(e, e)", "alphabet: 3"]
 
 
 @st.composite

@@ -74,7 +74,7 @@ def test_long_verdict_names_only_the_first_and_last_rounds():
     """Past ten rounds the message elides the middle counts; `rounds`
     keeps them all."""
     group = GroupDef.parse("alphabet: 3\na = (0 2)(e, a, a)\n")
-    group.machine.budget = Budget(max_states=300)
+    group.budget = Budget(max_states=300)
     with pytest.raises(NotContractingError) as info:
         compute_nucleus(group)
     rounds = info.value.rounds
@@ -134,7 +134,7 @@ def test_computed_nucleus_passes_the_independent_check(automaton):
     interned in a fresh group, as the nucleus."""
     d, recursion = automaton
     group = GroupDef(d, recursion)
-    group.machine.budget = Budget(max_states=1_000)
+    group.budget = Budget(max_states=1_000)
     try:
         nucleus = compute_nucleus(group)
     except NotContractingError:
@@ -259,7 +259,7 @@ def test_self_replicating(adding, basilica, grigorchuk):
 
 def test_self_replication_budget_says_how_far_the_search_got():
     group = GroupDef.parse("alphabet: 3\na = (0 2)(e, a, a)\n")
-    group.machine.budget = Budget(max_states=10)
+    group.budget = Budget(max_states=10)
     with pytest.raises(BudgetExceeded, match=r"^self-replication search: state budget 10 "
                        r"exhausted after 4 of 8 ball levels$"):
         is_self_replicating(group, 8)
@@ -355,13 +355,13 @@ def test_nucleus_products_read_the_machine_budget():
     the products done."""
     group = resolve_group("kneading:00000")
     nucleus = compute_nucleus(group)
-    group.machine.budget = Budget(max_states=3)
+    group.budget = Budget(max_states=3)
     with pytest.raises(BudgetExceeded, match=r"^state budget 3 exhausted after 13 of 1849 "
                        r"nucleus products$"):
         nucleus_products(nucleus)
     fresh = resolve_group("kneading:00000")
     fresh_nucleus = compute_nucleus(fresh)
-    fresh.machine.budget = Budget(max_states=6)
+    fresh.budget = Budget(max_states=6)
     assert nucleus_products(fresh_nucleus) == nucleus_products(compute_nucleus(
         resolve_group("kneading:00000")))
     assert len(fresh.machine) == 43 + 1_512

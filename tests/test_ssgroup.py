@@ -130,6 +130,13 @@ def test_parse_group_errors():
         GroupDef.parse("a = (0 1)(e, a)\n")  # missing header
     with pytest.raises(ValueError):
         GroupDef.parse("alphabet: 2\na = (0 1)(e, a, a)\n")  # arity
+    for text in ["alphabet: 2\na = 7(e, a)\n",  # text before the sections
+                 "alphabet: 2\na = (0 1)(e, a) junk\n",  # text after them
+                 "alphabet: 2\na = (0 1)zz(e, a)\n",  # text between the groups
+                 "alphabet: 2\nalphabet: 3\na = (0 1 2)(e, a, e)\n",  # two headers
+                 "alphabet: 2\nx" + " " * 50_000 + "y\n"]:  # no "=", in linear time
+        with pytest.raises(ValueError):
+            GroupDef.parse(text)
 
 
 def test_group_text_roundtrip(grigorchuk, adding, basilica):
@@ -243,9 +250,11 @@ def test_is_trivial_examples(adding, grigorchuk):
 def test_is_trivial_undecided_budget():
     # fresh group: nothing cached, and the closure of (ad)^4 has 6 states
     g = GroupDef.parse("alphabet: 2\na = (0 1)(e, e)\nb = ()(a, c)\nc = ()(a, d)\nd = ()(e, b)\n")
-    res = g.is_trivial(g.word("adadadad"), limit=3)
+    g.budget = Budget(max_states=3)
+    res = g.is_trivial(g.word("adadadad"))
     assert res.status == "undecided"
-    assert g.is_trivial(g.word("adadadad"), limit=100).status == "trivial"
+    g.budget = Budget(max_states=100)
+    assert g.is_trivial(g.word("adadadad")).status == "trivial"
 
 
 def test_are_equal_examples(adding, grigorchuk):
@@ -363,11 +372,11 @@ def test_machine_interning_identifies_equal_elements(grigorchuk):
     (Budget(max_depth=1), "section depth exceeded 1")])
 def test_intern_reads_the_machine_budget(budget, message):
     """Interning grigorchuk's b adds four states, b, a, c and d, two
-    sections deep; under the machine's budget it stops with a verdict that
+    sections deep; under the group's budget it stops with a verdict that
     names that budget."""
     group = resolve_group("grigorchuk")
     m = group.machine
-    m.budget = budget
+    group.budget = budget
     with pytest.raises(BudgetExceeded, match=f"^{message}$"):
         m.intern(group.word("b"))
 
@@ -378,7 +387,7 @@ def test_intern_counts_only_the_states_it_adds():
     and ab still has room for its own."""
     group = resolve_group("grigorchuk")
     m = group.machine
-    m.budget = Budget(max_states=4)
+    group.budget = Budget(max_states=4)
     m.intern(group.word("b"))
     assert len(m) == 5
     m.intern(group.word("ab"))
@@ -488,7 +497,7 @@ def test_machine_stays_minimal_and_correct(spec, ops):
     words interned to it do, and every rep interning back to its state."""
     group = GroupDef.parse(spec) if spec.startswith("alphabet") else resolve_group(spec)
     m = group.machine
-    m.budget = Budget(max_states=300)
+    group.budget = Budget(max_states=300)
     gens = group.generators
     interned = []
     for op in ops:

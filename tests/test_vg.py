@@ -12,7 +12,7 @@ from oracles import apply_word
 from selfsim import GroupDef, resolve_group
 from selfsim.nucleus import compute_nucleus
 from selfsim.presentation import l_embed
-from selfsim.ssgroup import GenWord, Machine
+from selfsim.ssgroup import Budget, GenWord, Machine
 from selfsim.vg import (
     Table,
     orbit_witness,
@@ -200,7 +200,9 @@ def test_tables_equal_undecided_propagates():
 
     g = GroupDef.parse("alphabet: 2\na = (0 1)(e, e)\nb = ()(a, c)\nc = ()(a, d)\nd = ()(e, b)\n")
     lhs = Table.from_element(g, "adadadad")
-    assert lhs.equals(Table.identity(g), limit=3) == "undecided"
+    g.budget = Budget(max_states=3)
+    assert lhs.equals(Table.identity(g)) == "undecided"
+    g.budget = Budget()
     assert lhs.equals(Table.identity(g)) == "equal"
 
 
