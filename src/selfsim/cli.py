@@ -48,7 +48,7 @@ def _group(args) -> GroupDef:
     if args.command in ("wp", "vg", "limit", "schreier"):
         _check_digits(group.d)
     if hasattr(args, "budget_states"):
-        group.budget = Budget(args.budget_states, args.budget_depth)
+        group.budget = Budget(args.budget_states)
     return group
 
 
@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("group", help="catalogue name, kneading:BITS, trivial:D, or file")
         if budget:
             p.add_argument("--budget-states", type=int, default=Budget.max_states)
-            p.add_argument("--budget-depth", type=int, default=Budget.max_depth)
         if budget and no_cache:
             p.add_argument("--no-cache", action="store_true",
                            help="accepted for compatibility; has no effect")
@@ -226,10 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("wp", help="word problem: is the element trivial")
-    common(p, budget=False)
+    common(p, no_cache=False)
     p.add_argument("word")
-    p.add_argument("--budget-states", type=int, default=Budget.max_states)
-    p.set_defaults(func=cmd_wp, budget_depth=Budget.max_depth)
+    p.set_defaults(func=cmd_wp)
 
     p = sub.add_parser("vg", help="table arithmetic (JSON tables or @file)")
     common(p, no_cache=False)

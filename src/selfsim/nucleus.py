@@ -7,8 +7,8 @@ each new candidate is multiplied on the right by S, and the section
 states that recur at arbitrarily large depth in those products (they lie
 on or hang off a cycle of the automaton of pairs, read off the machine's
 tables) are interned and adjoined, until no new state appears.
-Exhausting the state or depth budget yields a bounded "not contracting
-within budget" verdict, never a theorem.
+Exhausting the state budget yields a bounded "not contracting within
+budget" verdict, never a theorem.
 
 The budget is the one `Budget` the group holds (`group.budget`), which
 its machine reads.  It bounds the states one search adds: the
@@ -162,11 +162,11 @@ def compute_nucleus(group: GroupDef) -> Nucleus:
     sections of every element, and since the nucleus is closed under
     inverses the fixed point is too.
 
-    Raises NotContractingError when the machine's state or depth budget
-    runs out; that verdict is always "not contracting within budget", the
-    property itself is only semi-decidable.  It reports the candidate count
-    after each finished round, or before the first round the generator
-    being interned.
+    Raises NotContractingError when the machine's state budget runs out;
+    that verdict is always "not contracting within budget", the property
+    itself is only semi-decidable.  It reports the candidate count after
+    each finished round, or before the first round the generator being
+    interned.
     """
     machine = group.machine
     rounds: list[int] = []

@@ -332,10 +332,3 @@ def verify_relator(relator: Relator) -> bool:
     if verdict == "undecided":
         raise UndecidedError(relator.symbolic)
     return verdict == "equal"
-
-
-def expected_c_count(nucleus: Nucleus, stabilizer_count: int) -> int:
-    """Size of the commutation family by direct counting."""
-    d = nucleus.group.d
-    n1 = len(nucleus) - 1
-    return n1 * n1 * (d * (d - 1) + d * d * (d * d - 1)) + n1 * stabilizer_count

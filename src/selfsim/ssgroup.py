@@ -289,18 +289,19 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class Budget:
-    """The new states (see `Machine.search`) and the section depth that one
-    intern may reach; a group holds one for its machine and word problem."""
+    """The new states (see `Machine.search`) that one intern may add, which
+    bound its section depth too; a group holds one for its machine and word
+    problem."""
 
     max_states: int = 5_000
-    max_depth: int = 64
 
     def __post_init__(self):
-        if self.max_states < 0 or self.max_depth < 0:
+        if self.max_states < 0:
             raise ValueError(f"a budget cannot be negative: {self}")
 
 
 _NAME_RE = re.compile(r"^[a-df-z]$")  # single letter; "e" is the identity
+_HEADER_RE = re.compile(r"alphabet\s*:(.*)", re.IGNORECASE)  # "alphabet: d", any case
 # a generator line: name = cycle groups, then one group of sections, with
 # only whitespace between the groups
 _GENERATOR_RE = re.compile(r"([^=\s]*)\s*=\s*((?:\([^()]*\)\s*)*)\(([^()]*)\)")
@@ -366,12 +367,13 @@ class GroupDef:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.lower().startswith("alphabet"):
+            header = _HEADER_RE.match(line)
+            if header:
                 if d is not None:
                     raise ValueError(f"second alphabet header {line!r}")
                 try:
-                    d = int(line.split(":", 1)[1])
-                except (IndexError, ValueError):
+                    d = int(header[1])
+                except ValueError:
                     raise ValueError(f"bad alphabet header {line!r}") from None
                 continue
             match = _GENERATOR_RE.fullmatch(line)
@@ -614,24 +616,22 @@ class Machine:
     # `memo` the states of nodes met before, and `word_of` a word for it,
     # asked only of nodes of new states, whose rep is the shortest, then
     # least, such word.  The work grows with the new nodes and the clusters
-    # they point into, not with the machine.  The budget bounds the section
-    # depth and the new nodes: those of this call, or within a search those
-    # of the whole search.
+    # they point into, not with the machine.  The budget bounds the new
+    # nodes: those of this call, or within a search those of the whole
+    # search.  Each level down adds a node, so it bounds the depth too.
     def _intern(self, root, row, memo: dict, word_of) -> int:
         hit = memo.get(root)
         if hit is not None:
             return hit
 
-        max_states, max_depth = self.group.budget.max_states, self.group.budget.max_depth
+        max_states = self.group.budget.max_states
         room = max_states if self._base is None else max_states + self._base - len(self.perms)
         unknown: dict = {}  # node -> (perm, refs), each ref ("s", id) or ("n", node)
-        queue = deque([(root, 0)])
+        queue = deque([root])
         while queue:
-            node, depth = queue.popleft()
+            node = queue.popleft()
             if node in unknown or node in memo:
                 continue
-            if depth > max_depth:
-                raise BudgetExceeded(f"section depth exceeded {max_depth}")
             perm, sections = row(node)
             if len(unknown) >= room:
                 raise BudgetExceeded(f"state budget {max_states} exhausted")
@@ -642,7 +642,7 @@ class Machine:
                     refs.append(("s", sid))
                 else:
                     refs.append(("n", sec))
-                    queue.append((sec, depth + 1))
+                    queue.append(sec)
             unknown[node] = (perm, refs)
 
         first = len(self.perms)

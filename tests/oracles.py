@@ -3,9 +3,10 @@
 Everything here works on raw factor lists and decides equality by acting
 on a full finite level, deliberately bypassing the package's word-BFS,
 interning machine, and Smith reduction, so the two routes can disagree
-when either is wrong.  Graph connectivity is one plain walk, and the
-portrait kit at the end reads the rational-map closed formula off a
-portrait without the package's cokernel.
+when either is wrong.  Graph connectivity is one plain walk, the size of
+the presentation's commutation family is a closed count, and the portrait
+kit at the end reads the rational-map closed formula off a portrait
+without the package's cokernel.
 """
 
 from __future__ import annotations
@@ -400,6 +401,15 @@ def level_quotient(group, n, automaton=None):
         shift = tuple(below[b[0][:-1]] for b in blocks)
         assert all(below[v[:-1]] == shift[i] for i, b in enumerate(blocks) for v in b)
     return blocks, edges, shift
+
+
+def expected_c_count(nucleus, stabilizer_count):
+    """Size of the commutation family by direct counting: (|N| - 1)^2
+    commutators per ordered pair of distinct vertices of level one or two,
+    and |N| - 1 per off-cylinder stabilizer table."""
+    d = nucleus.group.d
+    n1 = len(nucleus) - 1
+    return n1 * n1 * (d * (d - 1) + d * d * (d * d - 1)) + n1 * stabilizer_count
 
 
 # -- post-critically finite portraits ----------------------------------------

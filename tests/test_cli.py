@@ -100,10 +100,10 @@ def test_exit_codes(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["nucleus", "basilica", "--budget-states", "-1"],
-    ["nucleus", "basilica", "--budget-depth", "-1"],
+    ["present", "adding", "--budget-states", "-1"],
     ["wp", "adding", "aa", "--budget-states", "-1"],
     ["vg", "adding", "canon", '{"domain":["e"],"entries":["a"],"range":["e"]}',
-     "--budget-depth", "-1"],
+     "--budget-states", "-1"],
 ])
 def test_negative_budget_is_bad_usage(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -111,11 +111,19 @@ def test_negative_budget_is_bad_usage(capsys, argv):
     assert err.startswith("error: a budget cannot be negative")
 
 
+def test_there_is_no_depth_budget(capsys):
+    """The state budget bounds an intern's section depth too, so no command
+    takes a depth budget."""
+    code, out, err = run(capsys, "nucleus", "basilica", "--budget-depth", "3")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --budget-depth 3" in err
+
+
 def test_wp_is_bounded_by_states_not_depth(capsys):
     """In kneading:0^20, a^2m has section a^m 21 levels down, so a^16 first
-    moves a vertex at level 85, past the default depth budget of 64, while
-    its search meets fewer than 200 section words.  Each level adds a word,
-    so the state budget alone bounds the search."""
+    moves a vertex at level 85, while its search meets fewer than 200
+    section words.  Each level adds a word, so the state budget alone
+    bounds the search."""
     argv = ["wp", "kneading:" + "0" * 20, "a" * 16]
     assert run(capsys, *argv) == (0, "nontrivial (moves " + "0" * 85 + ")\n", "")
     assert run(capsys, *argv, "--budget-states", "10") == (2, "undecided\n", "")
@@ -185,7 +193,7 @@ def test_check_gives_self_replication_its_own_budget(capsys):
     code, out, err = run(capsys, "check", "grigorchuk", "--budget-states", "5")
     assert code == 0 and err == ""
     assert out.splitlines() == [
-        "contracting: not contracting within budget Budget(max_states=5, max_depth=64): "
+        "contracting: not contracting within budget Budget(max_states=5): "
         "state budget 5 exhausted interning generator b",
         "self-replicating (radius 4): yes",
         "level-transitive up to 6: yes"]

@@ -164,11 +164,12 @@ def test_word_antichain_and_portrait_commands_exit_honestly(argv):
 
 # lines that break a group file: a generator named twice, a malformed line,
 # a bad header, a cycle naming a letter twice, a section naming a letter
-# that is not a generator, text around or between the groups, and a second
-# header
+# that is not a generator, text around or between the groups, a second
+# header, and lines that only start like one
 ODD_LINES = ["a = ()(e, e)", "a = (0 1)", "b (0 1)(e, e)", "alphabet: x", "alphabet",
              "c = (0 0)(e, e)", "c = ()(q, e)", "= ()(e, e)", "c = 7(e, e)",
-             "c = (0 1)(e, e) junk", "c = (0 1)zz(e, e)", "alphabet: 3"]
+             "c = (0 1)(e, e) junk", "c = (0 1)zz(e, e)", "alphabet: 3", "alphabets: 2",
+             "alphabet soup: 2"]
 
 
 @st.composite

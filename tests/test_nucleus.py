@@ -84,12 +84,20 @@ def test_long_verdict_names_only_the_first_and_last_rounds():
         f" after rounds of {first}, ... (143 more) ..., {last} candidates")
 
 
-@pytest.mark.parametrize("kneading, size", [("0000000000", 133), ("00000000000000", 241)])
-def test_long_kneading_nucleus_fits_the_default_budget(kneading, size):
+CHAINS17 = str(Path(__file__).parent / "groups" / "chains17.txt")
+
+
+# chains17 is two adding-machine chains of 8 and 9 states: a bounded
+# automaton, so contracting, whose nucleus search interns a product with
+# sections 71 levels deep
+@pytest.mark.parametrize("spec, size", [
+    ("kneading:0000000000", 133), ("kneading:00000000000000", 241), (CHAINS17, 307)],
+    ids=["0000000000-133", "00000000000000-241", "chains17-307"])
+def test_long_kneading_nucleus_fits_the_default_budget(spec, size):
     """Only the deep sections of products of candidates with the
     generators' closure are interned, so the machine holds the nucleus and
     nothing else."""
-    group = kneading_group(kneading)
+    group = resolve_group(spec)
     nucleus = compute_nucleus(group)
     assert len(nucleus) == size
     assert len(group.machine) == len(nucleus)

@@ -12,7 +12,6 @@ from selfsim.presentation import (
     disjoint_supports,
     embedded_conjugator,
     emit_presentation,
-    expected_c_count,
     l_embed,
     l_of,
     level2_permutation,
@@ -114,7 +113,7 @@ def test_relator_counts(adding, grigorchuk):
         bundle = emit_presentation(group)
         assert len(bundle.s1) == nsize - 1
         w_count = len(offcylinder_stabilizer_tables(group))
-        assert len(bundle.relators["C"]) == expected_c_count(nucleus, w_count)
+        assert len(bundle.relators["C"]) == oracles.expected_c_count(nucleus, w_count)
         assert len(bundle.relators["S"]) == nsize
 
 
@@ -123,7 +122,7 @@ def test_basilica_generator_count(basilica):
     bundle = emit_presentation(basilica)
     assert len(bundle.s1) == 6  # nucleus size 7 minus the identity
     w_count = len(offcylinder_stabilizer_tables(basilica))
-    assert len(bundle.relators["C"]) == expected_c_count(nucleus, w_count)
+    assert len(bundle.relators["C"]) == oracles.expected_c_count(nucleus, w_count)
     assert len(bundle.relators["S"]) == 7
     for relator in bundle.relators["S"]:
         assert verify_relator(relator)
