@@ -31,7 +31,7 @@ from itertools import permutations, product
 from .nucleus import Nucleus, compute_nucleus, length3_index_triples
 from .ssgroup import GenWord, GroupDef, Perm
 from .vg import Table, thompson_from_antichains
-from .words import Antichain, Word, coarsen, format_word, is_antichain
+from .words import Antichain, Word, format_word, is_antichain
 
 BASE_LETTER = 0
 
@@ -87,62 +87,51 @@ def embedded_conjugator(group: GroupDef, v: Word, a_xy: dict, b_x: dict) -> Tabl
     return out
 
 
-def _identity_merged(rows, d: int) -> tuple:
-    """Normal form of the rows of a trivial-entry table, sorted by domain,
-    for dedup: merge, bottom-up, every d sibling rows that are an identity
-    split."""
-
-    def merge(family):
-        parent = family[0][2][:-1]
-        if all(u == parent + (v[-1],) for v, _, u in family):
-            return (family[0][0][:-1], family[0][1], parent)
-        return None
-
-    return tuple(coarsen(rows, d, lambda r: r[0], merge))
-
-
 def offcylinder_stabilizer_tables(group: GroupDef) -> list[Table]:
     """Finite stabilizer set of the complement of the base-letter cylinder:
     every permutation table of domain depth at most two fixing that cylinder
     pointwise, plus one exchange of cylinders of unequal depths.  One table
-    is built per distinct normal form.  The permutations of up to 3(d - 1)
-    movable cylinders are walked, so alphabets of more than 3 letters raise
+    is built per normal form, in which the d children of a letter that go in
+    order onto the d children of one letter merge into that letter's row.
+    Splitting the base letter adds only rows that merge back, so the walk
+    takes the 2^(d - 1) complete antichains of depth at most two that keep
+    the base letter whole, and every permutation of their movable cylinders:
+    up to d(d - 1) of them, so alphabets of more than 3 letters raise
     ValueError."""
     d = group.d
     if d > 3:
         raise ValueError(f"the off-cylinder stabilizers are listed for alphabets "
                          f"of at most 3 letters, not {d}")
-    e = GenWord()
-    found: dict[tuple, Table] = {}
-
-    def keep(rows):
-        rows.sort(key=lambda r: r[0])
-        key = _identity_merged(rows, d)
-        if key not in found:
-            found[key] = Table._trusted(group, rows)
-
-    # complete antichains of depth <= 2: per letter keep it or split it once
-    for split in product((False, True), repeat=d):
-        words: list[Word] = []
-        for x in range(d):
-            if split[x]:
-                words.extend((x, y) for y in range(d))
-            else:
-                words.append((x,))
-        movable = [w for w in words if w[0] != BASE_LETTER]
-        fixed = [w for w in words if w[0] == BASE_LETTER]
+    e, base = GenWord(), (BASE_LETTER,)
+    family = {(x,): tuple((x, y) for y in range(d)) for x in range(d)}
+    others = [(x,) for x in range(d) if x != BASE_LETTER]
+    found: dict[tuple, Table] = {}  # normal form as (domain, range) pairs
+    for split in product((False, True), repeat=d - 1):
+        movable = tuple(w for x, s in zip(others, split) for w in (family[x] if s else [x]))
         for perm in permutations(movable):
-            if perm == tuple(movable):
+            if perm == movable:
                 continue
-            rows = [(w, e, w) for w in fixed]
-            rows.extend((w, e, u) for w, u in zip(movable, perm))
-            keep(rows)
+            key, i = [(base, base)], 0
+            for x, s in zip(others, split):
+                if not s:
+                    key.append((x, perm[i]))
+                    i += 1
+                    continue
+                kids, i = perm[i:i + d], i + d
+                z = kids[0][:1]
+                if kids == family[z]:
+                    key.append((x, z))
+                else:
+                    key.extend(zip(family[x], kids))
+            key = tuple(key)
+            if key not in found:
+                found[key] = Table._trusted(
+                    group, [(base, e, base)] + [(w, e, u) for w, u in zip(movable, perm)])
     # one exchange of unequal depths, below the first non-base letter
-    x2 = next(x for x in range(d) if x != BASE_LETTER)
-    lo, hi = (x2, 0), (x2, 1, 0)
-    rows = [(lo, e, hi), (hi, e, lo)]
-    rows.extend((c, e, c) for c in Antichain([lo, hi], d).complement())
-    keep(rows)
+    lo, hi = others[0] + (0,), others[0] + (1, 0)
+    t = Table._trusted(group, [(lo, e, hi), (hi, e, lo),
+                               *((c, e, c) for c in Antichain([lo, hi], d).complement())])
+    found[tuple((v, u) for v, _, u in t.rows)] = t
     return [found[k] for k in sorted(found)]
 
 

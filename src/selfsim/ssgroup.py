@@ -44,24 +44,24 @@ def invert_perm(perm: Perm) -> Perm:
 
 
 def perm_from_cycles(text: str, d: int) -> Perm:
-    """Parse cycle notation like "(0 1)(2 3)"; "()" is the identity."""
+    """Parse disjoint cycle notation like "(0 1)(2 3)"; "()" is the
+    identity.  A letter appears at most once in all the cycles together."""
     mapping = list(range(d))
+    seen: set[int] = set()
     for cyc in re.findall(r"\(([^()]*)\)", text):
         try:
             pts = [int(s) for s in cyc.replace(",", " ").split()]
         except ValueError:
             raise ValueError(f"bad cycle {cyc!r}") from None
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"repeated letter in cycle {cyc!r}")
         for p in pts:
             if p < 0 or p >= d:
                 raise ValueError(f"letter {p} out of range in cycle {cyc!r}")
+            if p in seen:
+                raise ValueError(f"letter {p} appears twice in cycles {text!r}")
+            seen.add(p)
         for i, p in enumerate(pts):
             mapping[p] = pts[(i + 1) % len(pts)]
-    perm = tuple(mapping)
-    if sorted(perm) != list(range(d)):
-        raise ValueError(f"cycles {text!r} do not define a permutation")
-    return perm
+    return tuple(mapping)
 
 
 def perm_cycles(perm: Sequence[int]) -> list[list[int]]:

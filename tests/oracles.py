@@ -4,14 +4,15 @@ Everything here works on raw factor lists and decides equality by acting
 on a full finite level, deliberately bypassing the package's word-BFS,
 interning machine, and Smith reduction, so the two routes can disagree
 when either is wrong.  Graph connectivity is one plain walk, the size of
-the presentation's commutation family is a closed count, and the portrait
+the presentation's commutation family is a closed count, its off-cylinder
+stabilizer list is the walk over every antichain, and the portrait
 kit at the end reads the rational-map closed formula off a portrait
 without the package's cokernel.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 
@@ -401,6 +402,53 @@ def level_quotient(group, n, automaton=None):
         shift = tuple(below[b[0][:-1]] for b in blocks)
         assert all(below[v[:-1]] == shift[i] for i, b in enumerate(blocks) for v in b)
     return blocks, edges, shift
+
+
+def stabilizer_table_rows(d):
+    """The off-cylinder stabilizer list the long way, as (domain, range)
+    rows: every permutation of the cylinders off base letter 0 of each of
+    the 2^d complete antichains of depth at most two, those that split the
+    base letter included, then the one exchange of (1, 0) and (1, 1, 0).
+    Per normal form the first rows met are kept, and the list is in order
+    of normal form."""
+
+    def normal_form(rows):
+        # merge d sibling rows that go in order onto the children of one
+        # word, rescanning until nothing merges
+        out = dict(rows)
+        merged = True
+        while merged:
+            merged = False
+            for v in sorted(out):
+                if not v or v[-1] != 0:
+                    continue
+                kids = [v[:-1] + (y,) for y in range(d)]
+                z = out[v][:-1]
+                if all(out.get(k) == z + (y,) for y, k in enumerate(kids)):
+                    for k in kids:
+                        del out[k]
+                    out[v[:-1]] = z
+                    merged = True
+                    break
+        return tuple(sorted(out.items()))
+
+    first = {}
+    for split in product((False, True), repeat=d):
+        cylinders = [w for x in range(d)
+                     for w in ([(x, y) for y in range(d)] if split[x] else [(x,)])]
+        movable = [w for w in cylinders if w[0] != 0]
+        for perm in permutations(movable):
+            if list(perm) != movable:
+                rows = sorted([(w, w) for w in cylinders if w[0] == 0] + list(zip(movable, perm)))
+                first.setdefault(normal_form(rows), rows)
+    lo, hi = (1, 0), (1, 1, 0)
+    cover = [()]  # split every proper prefix of lo or hi
+    while (w := next((w for w in cover for t in (lo, hi)
+                      if len(w) < len(t) and t[:len(w)] == w), None)) is not None:
+        cover = [c for c in cover if c != w] + [w + (y,) for y in range(d)]
+    rows = sorted([(lo, hi), (hi, lo)] + [(w, w) for w in cover if w not in (lo, hi)])
+    first.setdefault(normal_form(rows), rows)
+    return [first[k] for k in sorted(first)]
 
 
 def expected_c_count(nucleus, stabilizer_count):

@@ -412,6 +412,15 @@ def test_alphabet_past_the_bound_exits_1(tmp_path, argv):
     assert proc.stderr == f"error: alphabet must have at most {ALPHABET_LETTERS} letters\n"
 
 
+def test_cycles_that_share_a_letter_exit_1(capsys, tmp_path):
+    """(0 1)(0 1) is the identity as a product, not the swap that reading
+    one cycle at a time would give, so the group file is refused."""
+    path = tmp_path / "overlap.txt"
+    path.write_text("alphabet: 2\na = (0 1)(0 1)(e, a)\n")
+    assert run(capsys, "nucleus", str(path)) == (
+        1, "", "error: letter 0 appears twice in cycles '(0 1)(0 1)'\n")
+
+
 ELEVEN = "alphabet: 11\na = (0 10)(e, e, e, e, e, e, e, e, e, e, e)\n"
 
 
@@ -478,9 +487,11 @@ def test_present_on_a_wide_trivial_alphabet():
 
 
 def test_present_refuses_four_letters(tmp_path, capsys):
-    """The off-cylinder stabilizers walk every permutation of up to 3(d - 1)
-    cylinders, so `present` refuses a nontrivial nucleus over 4 letters at
-    once; a trivial nucleus needs no stabilizers and keeps its output."""
+    """The off-cylinder stabilizers walk the antichains of depth at most two
+    that keep the base letter whole, and every permutation of their up to
+    d(d - 1) movable cylinders, so `present` refuses a nontrivial nucleus
+    over 4 letters at once; a trivial nucleus needs no stabilizers and keeps
+    its output."""
     path = tmp_path / "odometer4.txt"
     path.write_text("alphabet: 4\na = (0 1 2 3)(e, e, e, a)\n")
     proc = _run_capped(["present", str(path)], timeout=20)

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,18 @@ def test_stabilizer_tables_fix_base_cylinder(adding, trivial3):
         assert any(
             len(v) != len(u) for t in tables for v, _, u in t.rows
         )
+
+
+def test_stabilizer_tables_match_the_full_walk(adding, trivial2, trivial3):
+    """The walk over the antichains that keep the base letter whole lists
+    the same tables, with the same rows, in the same order, as the walk over
+    every antichain: splitting the base letter only adds rows that merge."""
+    odometer3 = resolve_group(str(Path(__file__).parent.parent / "bench" / "groups"
+                                  / "odometer3.txt"))
+    for group in (adding, trivial2, trivial3, odometer3):
+        rows = [[(v, u) for v, g, u in t.rows if not g]
+                for t in offcylinder_stabilizer_tables(group)]
+        assert rows == oracles.stabilizer_table_rows(group.d)
 
 
 def test_relator_counts(adding, grigorchuk):

@@ -126,6 +126,10 @@ def test_parse_group_errors():
         GroupDef.parse("alphabet: 2\na = (0 0)(e, a)\n")  # not a bijection
     with pytest.raises(ValueError):
         GroupDef.parse("alphabet: 2\na = (0 2)(e, a)\n")  # letter out of range
+    # cycles are disjoint: each reads as a bijection, but not as a product
+    for cycles, letter in [("(0 1)(0 1)", 0), ("(0 1 2)(2 1 0)", 2), ("(1)(0 1)", 1)]:
+        with pytest.raises(ValueError, match=f"^letter {letter} appears twice in cycles"):
+            GroupDef.parse(f"alphabet: 3\na = {cycles}(e, a, e)\n")
     with pytest.raises(ValueError):
         GroupDef.parse("a = (0 1)(e, a)\n")  # missing header
     with pytest.raises(ValueError):
