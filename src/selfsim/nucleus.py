@@ -1,14 +1,15 @@
 """Nucleus computation and structural predicates of contracting groups.
 
-The nucleus is the smallest finite set of elements absorbing all deep
-sections.  Starting from S, the section closure of the generators, their
-inverses and the identity, the candidate set N grows until it absorbs N*S:
-each new candidate is multiplied on the right by S, and the section
-states that recur at arbitrarily large depth in those products (they lie
-on or hang off a cycle of the automaton of pairs, read off the machine's
-tables) are interned and adjoined, until no new state appears.
-Exhausting the state budget yields a bounded "not contracting within
-budget" verdict, never a theorem.
+The nucleus is the set of elements met as sections at every depth.
+Starting from S, the section closure of the generators, their inverses
+and the identity, the candidate set N grows until it absorbs N*S: each
+new candidate is multiplied on the right by S, and the section states
+that recur at arbitrarily large depth in those products (on or below a
+cycle of the automaton of pairs, read off the machine's tables) are
+interned and adjoined, until no new state appears.  The nucleus is the
+persistent part of that fixed point: a generator on no cycle is no deep
+section.  Exhausting the state budget yields "not contracting within
+budget", or "undecided" before the first round ends, never a theorem.
 
 The budget is the one `Budget` the group holds (`group.budget`), which
 its machine reads.  It bounds the states one search adds: the
@@ -21,19 +22,19 @@ from __future__ import annotations
 
 from collections import deque
 
-from .ssgroup import (IDENTITY, Budget, BudgetExceeded, GenWord, GroupDef, Perm, _tarjan_sccs,
-                      reachable)
+from .ssgroup import IDENTITY, Budget, BudgetExceeded, GenWord, GroupDef, Perm, reachable
 
 
 class NotContractingError(Exception):
     """The closure did not stabilize within the budget.  `rounds` holds the
     candidate count after each finished round, starting set first; past
-    ten rounds the message names only the first and last three."""
+    ten rounds the message names only the first and last three, and with
+    none it says "undecided" in place of "not contracting"."""
 
     def __init__(self, budget: Budget, detail: str = "", rounds: tuple[int, ...] = ()):
         self.budget = budget
         self.rounds = tuple(rounds)
-        msg = f"not contracting within budget {budget}"
+        msg = f"{'not contracting' if rounds else 'undecided'} within budget {budget}"
         if detail:
             msg += f": {detail}"
         if rounds:
@@ -154,19 +155,18 @@ def _deep_products(machine, left, right) -> set[int]:
 
 
 def compute_nucleus(group: GroupDef) -> Nucleus:
-    """Fixed point of absorbing N*S, where S is the section closure of the
-    identity, the generators and their inverses: each round multiplies only
-    the previous round's new states, on the right, by S and adjoins the
-    states that recur arbitrarily deep in those products, interning only
-    those (see `_deep_products`).  Once N absorbs N*S it holds the deep
-    sections of every element, and since the nucleus is closed under
-    inverses the fixed point is too.
+    """The persistent part of the fixed point of absorbing N*S, where S is
+    the section closure of the identity, the generators and their inverses:
+    each round multiplies only the previous round's new states, on the
+    right, by S and adjoins the states that recur arbitrarily deep in those
+    products, interning only those (see `_deep_products`).  Once N absorbs
+    N*S it holds the deep sections of every element, and its states on or
+    below a cycle of sections are exactly those deep sections.
 
-    Raises NotContractingError when the machine's state budget runs out;
-    that verdict is always "not contracting within budget", the property
-    itself is only semi-decidable.  It reports the candidate count after
-    each finished round, or before the first round the generator being
-    interned.
+    Raises NotContractingError when the machine's state budget runs out,
+    with the candidate count after each finished round, or before the
+    first round the generator being interned; the property itself is only
+    semi-decidable.
     """
     machine = group.machine
     rounds: list[int] = []
@@ -186,15 +186,14 @@ def compute_nucleus(group: GroupDef) -> Nucleus:
             # before the first round, only the generators are interned
             detail = str(exc) if rounds else f"{exc} interning generator {sym}"
             raise NotContractingError(group.budget, detail, rounds) from None
-    return Nucleus(group, current)
+    return Nucleus(group, _persistent_states(machine.kids, current))
 
 
 def is_regular(nucleus: Nucleus) -> bool:
     """True iff the directed graph on non-identity states, with an edge
     g -> g|_x for every letter x fixed by g whose section is non-identity,
-    is acyclic, i.e. each of its strongly connected components is one
-    state without a self-loop.  A cycle yields arbitrarily deep fixed
-    vertices with non-identity section, and conversely."""
+    has no persistent state, i.e. no cycle.  A cycle yields arbitrarily
+    deep fixed vertices with non-identity section, and conversely."""
     e = nucleus.identity_index
     edges = {
         i: [s for x, s in enumerate(nucleus.sections[i])
@@ -202,17 +201,16 @@ def is_regular(nucleus: Nucleus) -> bool:
         for i in nucleus
         if i != e
     }
-    return all(len(scc) == 1 and scc[0] not in edges[scc[0]]
-               for scc in _tarjan_sccs(edges, edges.__getitem__))
+    return not _persistent_states(edges, edges)
 
 
 def is_self_replicating(group: GroupDef, radius: int) -> str:
     """"yes" iff for every pair of letters x, y some element of length at
-    most `radius` maps x to y with trivial section there; "unknown" when
-    the search ball is exhausted (the property itself is not refuted).
-    Interning past the group's budget, which the search counts from its
-    own start, raises BudgetExceeded, which names the search and how many
-    of its `radius` ball levels it finished."""
+    most `radius` maps x to y with trivial section there; "no" when a ball
+    level adds no state, so the finite group is searched whole; otherwise
+    "unknown".  Interning past the group's budget, which the search counts
+    from its own start, raises BudgetExceeded, which names the search and
+    how many of its `radius` ball levels it finished."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     machine = group.machine
@@ -243,6 +241,8 @@ def is_self_replicating(group: GroupDef, radius: int) -> str:
                             scan(t)
                             if not needed:
                                 return "yes"
+                if not nxt:
+                    return "no"
                 frontier = nxt
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"self-replication search: {exc} after {level} of "

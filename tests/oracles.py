@@ -51,6 +51,11 @@ def factors_text(factors):
     return "".join(s if e == 1 else s.upper() for s, e in factors) or "e"
 
 
+def text_factors(text):
+    """The factors of a printed word, the inverse of `factors_text`."""
+    return tuple((ch.lower(), 1 if ch.islower() else -1) for ch in text if ch != "e")
+
+
 def step(group, factors, letter):
     """(image letter, continuation factors) for one input letter."""
     y = letter
@@ -78,23 +83,26 @@ def apply_word(group, factors, v):
 
 
 def signature(group, factors, level):
-    """Action on the whole level, the oracle's notion of identity.
+    """Action on the whole level, the oracle's notion of identity: the
+    images of the level's words, in lexicographic order of the words.
 
-    Walks the level tree once, carrying continuations, instead of re-running
-    every word from the root.
+    The images below a letter are those of the section there, freely
+    reduced, one level shallower, so each (section, depth) is worked out
+    once per call.
     """
-    out = []
+    memo: dict = {}
 
-    def walk(prefix, cur, depth):
-        if depth == level:
-            out.append(prefix)
-            return
-        for x in range(group.d):
-            y, nxt = step(group, cur, x)
-            walk(prefix + (y,), nxt, depth + 1)
+    def images(fs, depth):
+        key = (fs, depth)
+        if key not in memo:
+            out = [] if depth else [()]
+            for x in range(group.d if depth else 0):
+                y, nxt = step(group, fs, x)
+                out += [(y,) + t for t in images(free_reduce(nxt), depth - 1)]
+            memo[key] = tuple(out)
+        return memo[key]
 
-    walk((), list(factors), 0)
-    return tuple(out)
+    return images(tuple(factors), level)
 
 
 def identity_signature(group, level):
@@ -105,46 +113,9 @@ def section_of(group, factors, letter):
     return step(group, factors, letter)[1]
 
 
-def closure(group, factors, level, cap, _sig_cache=None):
-    """Signature-deduplicated section closure of one element.
-
-    Returns (elements keyed by signature, edges sig -> tuple of kid sigs).
-    """
-    cache = _sig_cache if _sig_cache is not None else {}
-
-    def sig_of(fs):
-        fs = tuple(fs)
-        hit = cache.get(fs)
-        if hit is None:
-            hit = cache[fs] = signature(group, fs, level)
-        return hit
-
-    start = tuple(factors)
-    elems: dict = {}
-    edges: dict = {}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        sig = sig_of(cur)
-        if sig in edges:
-            continue
-        if len(edges) >= cap:
-            raise OracleBudget("closure grew past the cap")
-        elems.setdefault(sig, cur)
-        kids = []
-        for x in range(group.d):
-            kid = tuple(section_of(group, cur, x))
-            ksig = sig_of(kid)
-            elems.setdefault(ksig, kid)
-            kids.append(ksig)
-            if ksig not in edges:
-                queue.append(kid)
-        edges[sig] = tuple(kids)
-    return elems, edges
-
-
 def persistent(edges):
-    """Signatures surviving iterated removal of in-degree-zero nodes."""
+    """Nodes of a graph {node: successors} that survive iterated removal of
+    in-degree-zero nodes: those on or below a cycle."""
     indeg = {s: 0 for s in edges}
     for s, kids in edges.items():
         for k in kids:
@@ -163,53 +134,75 @@ def persistent(edges):
 
 
 def nucleus(group, level=None, cap=400):
-    """Brute-force nucleus: absorb deep sections of all pairwise products,
-    with equality decided by the action on the given level.
+    """Brute-force nucleus, the elements met as sections at every depth:
+    grow a section-closed candidate set from the generators until it
+    absorbs the deep sections of all pairwise products, then keep its
+    persistent part, with equality decided by the action on the given
+    level.  A generator that lies on no cycle is a candidate but no deep
+    section, so it is dropped.
+
+    Elements are numbered by signature as they are met, and their sections
+    found once each.
 
     The default level, max(10, 2 * generators), grows with the group: a
     fixed level 10 is too shallow for kneading groups with six generators,
     where it counts 15 states and the nucleus has 13."""
     if level is None:
         level = max(10, 2 * len(group.generators))
-    elems: dict = {}
-    edges: dict = {}
-    sig_cache: dict = {}
+    number: dict = {}   # signature -> element number
+    by_factors: dict = {}
+    sigs: list = []     # signature of each element
+    elems: list = []    # the first factor tuple met for each element
+    kids: list = []     # element numbers of each element's sections, once found
 
-    def absorb(factors):
-        el, ed = closure(group, factors, level, cap, _sig_cache=sig_cache)
-        elems.update({s: e for s, e in el.items() if s not in elems})
-        edges.update(ed)
+    def element(fs):
+        fs = tuple(fs)
+        if fs not in by_factors:
+            sig = signature(group, fs, level)
+            if sig not in number:
+                number[sig] = len(sigs)
+                sigs.append(sig)
+                elems.append(fs)
+                kids.append(None)
+            by_factors[fs] = number[sig]
+        return by_factors[fs]
 
-    absorb(())
+    def closure(fs):
+        """Section closure of an element: {number: section numbers}."""
+        edges: dict = {}
+        stack = [element(fs)]
+        while stack:
+            k = stack.pop()
+            if k in edges:
+                continue
+            if len(edges) >= cap:
+                raise OracleBudget("closure grew past the cap")
+            if kids[k] is None:
+                kids[k] = tuple(element(section_of(group, elems[k], x)) for x in range(group.d))
+            edges[k] = kids[k]
+            stack.extend(kids[k])
+        return edges
+
+    current = set(closure(()))
     for sym in group.generators:
-        absorb(((sym, 1),))
-        absorb(((sym, -1),))
-    current = set(edges)
+        current |= set(closure(((sym, 1),))) | set(closure(((sym, -1),)))
     done = set()
     while True:
         if len(current) > cap:
             raise OracleBudget("nucleus candidate set grew past the cap")
         added = set()
-        for s1, s2 in product(sorted(current), sorted(current)):
-            if (s1, s2) in done:
+        for k1, k2 in product(sorted(current), sorted(current)):
+            if (k1, k2) in done:
                 continue
-            done.add((s1, s2))
-            prod = elems[s1] + elems[s2]
-            el, ed = closure(group, prod, level, cap, _sig_cache=sig_cache)
-            elems.update({s: e for s, e in el.items() if s not in elems})
-            edges.update(ed)
-            for s in persistent(ed):
-                if s not in current:
-                    added.add(s)
-                    inv = tuple((sym, -e) for sym, e in reversed(elems[s]))
-                    el2, ed2 = closure(group, inv, level, cap, _sig_cache=sig_cache)
-                    elems.update({t: e for t, e in el2.items() if t not in elems})
-                    edges.update(ed2)
-                    added |= set(ed2) - current
+            done.add((k1, k2))
+            for k in persistent(closure(elems[k1] + elems[k2])):
+                if k not in current:
+                    added.add(k)
+                    added |= set(closure(invert_factors(elems[k]))) - current
         if not added:
             break
         current |= added
-    return {s: elems[s] for s in current}
+    return {sigs[k]: elems[k] for k in persistent({k: kids[k] for k in current})}
 
 
 def odometer_value(v):

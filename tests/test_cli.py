@@ -187,13 +187,33 @@ def test_check_keeps_the_budget_for_self_replication(capsys):
     assert err == "self-replication search: state budget 2 exhausted after 0 of 4 ball levels\n"
 
 
+TR = str(Path(__file__).parent / "groups" / "tr.txt")
+
+
+def test_a_generator_on_no_cycle_is_not_in_the_nucleus(capsys):
+    """In tr.txt, c = (0 1)(a, a) is a section of nothing, so the nucleus
+    is the adding machine's {e, A, a}: `moore` and `limit` print what they
+    print for `adding`, and the presentation has no generator L[c]."""
+    code, out, _ = run(capsys, "nucleus", TR)
+    assert code == 0 and out.splitlines()[0] == f"nucleus of {TR}: 3 states"
+    for argv in [["moore"]] + [["limit", "--level", str(n)] for n in range(9)]:
+        tr = run(capsys, argv[0], TR, *argv[1:])
+        assert tr[0] == 0 and tr == run(capsys, argv[0], "adding", *argv[1:]), argv
+    code, out, _ = run(capsys, "present", TR, "--verify")
+    assert code == 0 and out.splitlines()[1] == "  L[A] L[a]"
+    code, out, _ = run(capsys, "check", TR)
+    assert out.splitlines()[0] == "contracting: yes (3 states)"
+
+
 def test_check_gives_self_replication_its_own_budget(capsys):
-    """grigorchuk's nucleus does not fit in 5 states; the self-replication
-    search then counts only the states it adds itself, so it still answers."""
+    """grigorchuk's generators do not fit in 5 states, so no nucleus round
+    finishes and the verdict is "undecided", not "not contracting"; the
+    self-replication search then counts only the states it adds itself, so
+    it still answers."""
     code, out, err = run(capsys, "check", "grigorchuk", "--budget-states", "5")
     assert code == 0 and err == ""
     assert out.splitlines() == [
-        "contracting: not contracting within budget Budget(max_states=5): "
+        "contracting: undecided within budget Budget(max_states=5): "
         "state budget 5 exhausted interning generator b",
         "self-replicating (radius 4): yes",
         "level-transitive up to 6: yes"]

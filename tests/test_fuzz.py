@@ -20,7 +20,8 @@ GROUPS = Path(__file__).parent / "groups"
 GROUP_SPECS = st.one_of(
     st.sampled_from(sorted(builtin_groups()) + ["trivial:2", "trivial:3",
                                                 str(GROUPS / "flip.txt"),
-                                                str(GROUPS / "rotation3.txt")]),
+                                                str(GROUPS / "rotation3.txt"),
+                                                str(GROUPS / "tr.txt")]),
     st.text("01", max_size=4).map(lambda bits: "kneading:" + bits),
 )
 LEVELS = st.one_of(st.integers(-3, 10), st.sampled_from([21, 25, 10 ** 9]))

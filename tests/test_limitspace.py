@@ -23,6 +23,8 @@ ODOMETER2_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odomet
 ODOMETER3_FILE = str(Path(__file__).parent.parent / "bench" / "groups" / "odometer3.txt")
 FLIP_FILE = str(Path(__file__).parent / "groups" / "flip.txt")
 ROTATION3_FILE = str(Path(__file__).parent / "groups" / "rotation3.txt")
+# c = (0 1)(a, a) lies on no cycle of sections, so it is not in the nucleus
+TR_FILE = str(Path(__file__).parent / "groups" / "tr.txt")
 # groups with cylinder-stable states, so level quotients fuse vertex classes
 FLIP = "alphabet: 2\na = (0 1)(a, a)\n"
 SWAP = "alphabet: 2\na = (0 1)(b, b)\nb = ()(a, a)\n"
@@ -235,7 +237,7 @@ def test_nucleus_walks_match_act(name):
 
 
 @pytest.mark.parametrize("name", ["adding", "basilica", "grigorchuk", "kneading:01",
-                                  ODOMETER3_FILE] + FUSED_GROUPS)
+                                  ODOMETER3_FILE, TR_FILE] + FUSED_GROUPS)
 def test_quotient_graph_matches_the_oracle(name):
     """Classes, edges and shift agree with `oracles.level_quotient`, which
     builds them word by word from its own nucleus and stable set."""
