@@ -9,6 +9,7 @@ ran out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -195,7 +196,11 @@ def cmd_m_invariant(args) -> None:
     print(m_invariant(ac.words, args.alphabet))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: built on the first call and shared by every
+    later `main` call in the process; parsing leaves it unchanged.  Callers
+    must not mutate the shared parser."""
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Self-similar groups, their table groups, and limit spaces",

@@ -139,15 +139,18 @@ class Relator:
     """A relator word and its concrete table, which must be the identity.
 
     A C relator is built from its two factor pairs (t, t^-1) instead, and
-    composes its table t1 t2 t1^-1 t2^-1 only when `table` is first read."""
+    composes its table t1 t2 t1^-1 t2^-1 only when `table` is first read;
+    given the `support` of each t, it is certified without composing."""
 
-    __slots__ = ("family", "symbolic", "factors", "_table")
+    __slots__ = ("family", "symbolic", "factors", "supports", "_table")
 
     def __init__(self, family: str, symbolic: str, table: Table | None = None,
-                 factors: tuple[tuple[Table, Table], tuple[Table, Table]] | None = None):
+                 factors: tuple[tuple[Table, Table], tuple[Table, Table]] | None = None,
+                 supports: tuple[tuple[Word, ...], tuple[Word, ...]] | None = None):
         self.family = family
         self.symbolic = symbolic
         self.factors = factors
+        self.supports = supports
         self._table = table
 
     @property
@@ -223,23 +226,26 @@ def relators_C(nucleus: Nucleus) -> list[Relator]:
     states = _nontrivial_states(nucleus)
     if not states:  # no L(g) to commute
         return []
-    stabilizers = [(h, h.inverse()) for h in offcylinder_stabilizer_tables(group)]
-    embed = _embeddings(nucleus)
+    # each factor's (t, t^-1) pair and support, built once, not per relator
+    stabilizers = [((h, h.inverse()), support(h)) for h in offcylinder_stabilizer_tables(group)]
+    factor = {}
+    for v in [*product(range(d), repeat=1), *product(range(d), repeat=2)]:
+        for i in states:
+            t = l_of(group, v, nucleus.reps[i])
+            factor[v, i] = (_sym_L(nucleus.reps[i], v), (t, t.inverse()), support(t))
     out = []
-    # one label per (vertex, state), not two per relator
-    label = {(v, i): _sym_L(nucleus.reps[i], v)
-             for v in [*product(range(d), repeat=1), *product(range(d), repeat=2)]
-             for i in states}
     for depth in (1, 2):
         for v1, v2 in permutations(product(range(d), repeat=depth), 2):
             for i in states:
                 for j in states:
-                    sym = f"[{label[v1, i]}, {label[v2, j]}]"
-                    out.append(Relator("C", sym, factors=(embed(v1, i), embed(v2, j))))
+                    (sym1, p1, s1), (sym2, p2, s2) = factor[v1, i], factor[v2, j]
+                    out.append(Relator("C", f"[{sym1}, {sym2}]", factors=(p1, p2),
+                                       supports=(s1, s2)))
     for i in states:
-        for w_index, h in enumerate(stabilizers):
+        _, p1, s1 = factor[(BASE_LETTER,), i]
+        for w_index, (p2, s2) in enumerate(stabilizers):
             sym = f"[{_sym_L(nucleus.reps[i])}, W{w_index}]"
-            out.append(Relator("C", sym, factors=(embed((BASE_LETTER,), i), h)))
+            out.append(Relator("C", sym, factors=(p1, p2), supports=(s1, s2)))
     return out
 
 
@@ -297,26 +303,24 @@ def emit_presentation(group: GroupDef) -> PresentationBundle:
     return PresentationBundle(group, s1, relators)
 
 
-def disjoint_supports(t1: Table, t2: Table) -> bool:
-    """Whether the non-identity rows of t1 and of t2 lie below pairwise
-    prefix-incomparable words.  Each table fixes the complement of its
-    support pointwise and maps the support onto itself, so two tables with
-    disjoint supports commute.  A nonempty entry counts as moving even when
-    it is trivial, so a False verdict proves nothing."""
-    return is_antichain([v for t in (t1, t2) for v, g, u in t.rows if u != v or g])
+def support(t: Table) -> tuple[Word, ...]:
+    """The domain words of t's moving rows, a nonempty entry counting as
+    moving even when it is trivial.  t fixes the rest pointwise and maps
+    these cylinders onto themselves, so two tables whose supports are
+    prefix-incomparable commute."""
+    return tuple(v for v, g, u in t.rows if u != v or g)
 
 
 def verify_relator(relator: Relator) -> bool:
     """Whether the concrete table product is the identity homeomorphism.
 
-    A C relator whose factors have disjoint supports is certified by
-    `disjoint_supports` without composing its table.  Otherwise the verdict
-    is the table's `identity_verdict()`; UndecidedError when no row is
-    wrong but some entry ran out of budget."""
-    if relator.factors is not None:
-        (t1, _), (t2, _) = relator.factors
-        if disjoint_supports(t1, t2):
-            return True
+    A C relator given its factors' supports is certified without composing
+    its table when they are prefix-incomparable.  Otherwise, or when they
+    overlap (which proves nothing), the verdict is the table's
+    `identity_verdict()`; UndecidedError when no row is wrong but some
+    entry ran out of budget."""
+    if relator.supports is not None and is_antichain(sum(relator.supports, ())):
+        return True
     verdict = relator.table.identity_verdict()
     if verdict == "undecided":
         raise UndecidedError(relator.symbolic)

@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,12 @@ from selfsim.abelian import (
     smith_normal_form,
     vg_abelianization,
 )
-from selfsim.nucleus import NotContractingError, compute_nucleus
+from selfsim.nucleus import (
+    NotContractingError,
+    compute_nucleus,
+    is_regular,
+    is_self_replicating,
+)
 from selfsim.ssgroup import GroupDef
 
 
@@ -271,6 +277,30 @@ def test_rational_paper_cases():
         degree_odd=True, cvmod2=frozenset({"v1", "v2"}),
     )
     assert rational_map_abelianization(two_cycles) == AbelGroup(2)
+
+
+GROUPS = Path(__file__).parent / "groups"
+
+
+@pytest.mark.parametrize("name, portrait, expected", [
+    # d = 3, two simple critical points, both fixed: a |-> a, b |-> b
+    ("kneading3_fixed.txt",
+     PostCriticalData(("a", "b", "inf"), {"a": "a", "b": "b", "inf": "inf"},
+                      degree_odd=True, cvmod2=frozenset({"a", "b"})),
+     AbelGroup(2)),
+    # d = 4, critical points of multiplicities 2 and 1, swapped: a <-> b
+    ("kneading4_swapped.txt",
+     PostCriticalData(("a", "b", "inf"), {"a": "b", "b": "a", "inf": "inf"}),
+     AbelGroup(1)),
+])
+def test_kneading_automata_of_higher_degree_match_their_portraits(name, portrait, expected):
+    """A kneading automaton of degree 3 or 4: `abel` on the automaton and
+    `abel-rational` on the portrait read off it agree.  A generator's point
+    maps to the point of the generator whose nontrivial section it is."""
+    group = GroupDef.parse((GROUPS / name).read_text())
+    assert vg_abelianization(group) == rational_map_abelianization(portrait) == expected
+    nucleus = compute_nucleus(group)
+    assert is_regular(nucleus) and is_self_replicating(group, 4) == "yes"
 
 
 def test_predicted_formula_examples():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -12,7 +13,7 @@ import selfsim
 from selfsim import Budget, GroupDef, kneading_group, resolve_group
 from selfsim.abelian import vg_abelianization
 from selfsim.catalogue import builtin_groups
-from selfsim.cli import main
+from selfsim.cli import build_parser, main
 from selfsim.nucleus import compute_nucleus
 from selfsim.ssgroup import ALPHABET_LETTERS
 from selfsim.vg import Table
@@ -375,14 +376,55 @@ def test_duplicate_generator_rejected(capsys, tmp_path):
 
 
 def test_repeated_calls_share_no_state(capsys):
-    """Calls in one process are independent: a flag, a usage error or a
-    command of one call never shows in the next."""
+    """One parser serves every call: a flag, a usage error or a command of
+    one call never shows in the next."""
     code, out, _ = run(capsys, "nucleus", "adding", "--json")
     assert code == 0 and json.loads(out)["states"]
     code, out, err = run(capsys, "nucleus", "adding", "--no-such-flag")
     assert code == 1 and out == "" and "usage" in err
     code, out, _ = run(capsys, "nucleus", "adding")
     assert code == 0 and out.startswith("nucleus of adding: 3 states")
+
+
+def test_options_of_one_call_do_not_become_defaults(capsys):
+    code, out, _ = run(capsys, "check", "adding", "--radius", "1", "--level", "2")
+    assert code == 0 and "self-replicating (radius 1)" in out and "up to 2:" in out
+    code, out, _ = run(capsys, "check", "adding")
+    assert code == 0 and "self-replicating (radius 4)" in out and "up to 6:" in out
+
+
+def test_vg_arguments_do_not_carry_over(capsys):
+    """A usage error on one call's argument list leaves the next call's
+    list its own."""
+    a = json.dumps({"domain": ["e"], "entries": ["a"], "range": ["e"]})
+    code, out, err = run(capsys, "vg", "adding", "mul", a)
+    assert code == 1 and out == "" and err == "error: mul takes 2 arguments, got 1\n"
+    code, out, err = run(capsys, "vg", "adding", "inv", a)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"domain": ["e"], "entries": ["A"], "range": ["e"]}
+
+
+def test_help_twice_prints_the_same_text(capsys):
+    code, first, _ = run(capsys, "--help")
+    assert code == 0 and first.startswith("usage: selfsim")
+    code, second, _ = run(capsys, "--help")
+    assert code == 0 and second == first
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    run(capsys, "nucleus", "adding")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    code, out, _ = run(capsys, "nucleus", "adding")
+    assert code == 0 and out.startswith("nucleus of adding: 3 states")
+    assert not built
 
 
 def test_huge_level_fails_at_once(capsys):

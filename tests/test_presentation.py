@@ -10,7 +10,6 @@ from selfsim.nucleus import compute_nucleus
 from selfsim.presentation import (
     Relator,
     choose_ab_tables,
-    disjoint_supports,
     embedded_conjugator,
     emit_presentation,
     l_embed,
@@ -20,11 +19,13 @@ from selfsim.presentation import (
     relators_C,
     relators_N,
     relators_S,
+    support,
     UndecidedError,
     verify_relator,
 )
 from selfsim.ssgroup import GenWord, GroupDef
 from selfsim.vg import Table
+from selfsim.words import is_antichain
 
 
 def test_choose_ab_defining_properties(adding, trivial3):
@@ -285,22 +286,27 @@ def test_verify_relator_agrees_with_table_equality(spec):
 @pytest.mark.parametrize(
     "spec", ["adding", "basilica", "grigorchuk", "kneading:01", "trivial:3", "odometer3"])
 def test_support_certificate_agrees_with_the_row_check(spec):
-    """On every C relator, certifying the factors' disjoint supports gives
-    the verdict of reading the rows of the composed commutator table."""
+    """On every C relator, the supports it carries are its factors' own,
+    and certifying that they are disjoint gives the verdict of reading the
+    rows of the composed commutator table."""
     group = GroupDef.parse(ODOMETER3) if spec == "odometer3" else resolve_group(spec)
     for relator in emit_presentation(group).relators["C"]:
         (t1, _), (t2, _) = relator.factors
+        assert relator.supports == (support(t1), support(t2)), relator.symbolic
         composed = Relator("C", relator.symbolic, relator.table)
-        assert disjoint_supports(t1, t2) == verify_relator(composed), relator.symbolic
+        assert is_antichain(support(t1) + support(t2)) == verify_relator(composed), \
+            relator.symbolic
 
 
 def test_overlapping_factors_are_not_certified(adding):
     """L@0[a] and L@00[a] overlap and do not commute: the certificate
     refuses them and the row check on their commutator fails."""
     p1, p2 = ((t, t.inverse()) for t in (l_of(adding, (0,), "a"), l_of(adding, (0, 0), "a")))
-    relator = Relator("C", "[L@0[a], L@00[a]]", factors=(p1, p2))
-    assert not disjoint_supports(p1[0], p2[0])
-    assert not verify_relator(relator)
+    supports = (support(p1[0]), support(p2[0]))
+    assert not is_antichain(supports[0] + supports[1])
+    for given in (None, supports):
+        relator = Relator("C", "[L@0[a], L@00[a]]", factors=(p1, p2), supports=given)
+        assert not verify_relator(relator)
 
 
 def test_verifying_c_relators_composes_no_table(monkeypatch, grigorchuk):
